@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParameterError
+from .errors import ParameterError, check_positive_int
 
 _SIDES = ("lower", "upper")
 
@@ -105,12 +105,6 @@ def chernoff_lower_tail(theta: float, r: float) -> float:
     return math.exp(chernoff_log_bound(theta, r))
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParameterError("n", f"n must be a positive integer, got {n!r}")
-    return n
-
-
 def tail_bound_abs(n: int, lam: float, epsilon: float, side: str) -> float:
     """Bound on an absolute deviation of the empirical mean of n samples.
 
@@ -119,7 +113,7 @@ def tail_bound_abs(n: int, lam: float, epsilon: float, side: str) -> float:
     side="upper": Pr{mean >= lam + epsilon} <= exp(n * g(epsilon, lam)),
                   requires epsilon > 0.
     """
-    _check_n(n)
+    check_positive_int(n, "n")
     if side not in _SIDES:
         raise ParameterError("side", f"side must be one of {_SIDES}, got {side!r}")
     if side == "lower":
@@ -145,7 +139,7 @@ def tail_bound_rel(n: int, lam: float, epsilon: float, side: str) -> float:
     Both exponents are g(+-epsilon*lam, lam) = lam * h(+-epsilon): linear in
     lam with a strictly negative coefficient.
     """
-    _check_n(n)
+    check_positive_int(n, "n")
     if not lam > 0.0:
         raise ParameterError("lam", f"lam must be > 0, got {lam!r}")
     if side not in _SIDES:

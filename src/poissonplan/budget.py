@@ -10,6 +10,7 @@ giving four regimes (labelled I-IV below).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,7 @@ from .errors import ParameterError
 class ErrorBudget:
     """The (epsilon_a, epsilon_r, delta) triple specifying the guarantee.
 
-    epsilon_a: absolute tolerance, > 0.
+    epsilon_a: absolute tolerance, finite and > 0.
     epsilon_r: relative tolerance, in (0, 1).
     delta:     allowed failure probability, in (0, 1).
     """
@@ -30,9 +31,9 @@ class ErrorBudget:
     delta: float
 
     def __post_init__(self):
-        if not self.epsilon_a > 0.0:
+        if not 0.0 < self.epsilon_a < math.inf:
             raise ParameterError(
-                "epsilon_a", f"epsilon_a must be > 0, got {self.epsilon_a!r}"
+                "epsilon_a", f"epsilon_a must be finite and > 0, got {self.epsilon_a!r}"
             )
         if not 0.0 < self.epsilon_r < 1.0:
             raise ParameterError(

@@ -6,8 +6,7 @@ serialized with 17 significant digits, so parsing a report recovers every
 value bit-exactly.
 
 Exit codes: 0 success, 2 usage/parameter error, 3 internal numeric failure,
-4 I/O failure.  PLAN_THREADS (positive integer) caps concurrency for the
-scan and Monte Carlo paths; results do not depend on it.
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
 from .bounds import TailBoundReport, chernoff_log_bound
 from .budget import ErrorBudget
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, check_positive_int
 from .exact import exact_coverage, exact_tail
 from .plan import (
     formula_sample_size,
@@ -48,7 +46,6 @@ _FLAG_OF = {
     "theta": "--theta",
     "r": "--r",
     "side": "--side",
-    "PLAN_THREADS": "PLAN_THREADS",
 }
 
 
@@ -121,30 +118,11 @@ def _envelope(command: str, inputs: dict, results: dict, warnings: list) -> dict
     }
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("PLAN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError("PLAN_THREADS", f"PLAN_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ParameterError("PLAN_THREADS", f"PLAN_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _budget_from(args) -> ErrorBudget:
     return ErrorBudget(epsilon_a=args.eps_a, epsilon_r=args.eps_r, delta=args.delta)
 
 
-def _check_pos_int(value: int, name: str) -> int:
-    if value is None or value < 1:
-        raise ParameterError(name, f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _cmd_size(args, threads: int) -> dict:
+def _cmd_size(args) -> dict:
     budget = _budget_from(args)
     inputs = {
         "eps_a": args.eps_a,
@@ -170,9 +148,9 @@ def _cmd_size(args, threads: int) -> dict:
     return _envelope("size", inputs, results, [])
 
 
-def _cmd_verify(args, threads: int) -> dict:
+def _cmd_verify(args) -> dict:
     budget = _budget_from(args)
-    n = _check_pos_int(args.n, "n")
+    n = check_positive_int(args.n, "n")
     if args.lam is None or not args.lam > 0.0:
         raise ParameterError("lam", f"--lambda must be > 0, got {args.lam!r}")
     inputs = {
@@ -196,10 +174,9 @@ def _cmd_verify(args, threads: int) -> dict:
         "pass": point.coverage >= threshold,
     }
     if args.mc_trials is not None:
-        trials = _check_pos_int(args.mc_trials, "trials")
+        trials = check_positive_int(args.mc_trials, "trials")
         sim = simulate_coverage(
-            SimConfig(trials=trials, seed=args.seed, n=n, lam=args.lam, budget=budget),
-            threads=threads,
+            SimConfig(trials=trials, seed=args.seed, n=n, lam=args.lam, budget=budget)
         )
         results["mc"] = {
             "trials": sim.trials,
@@ -211,15 +188,15 @@ def _cmd_verify(args, threads: int) -> dict:
     return _envelope("verify", inputs, results, [])
 
 
-def _cmd_scan(args, threads: int) -> dict:
+def _cmd_scan(args) -> dict:
     budget = _budget_from(args)
     n = args.n if args.n is not None else formula_sample_size(budget).n
-    n = _check_pos_int(n, "n")
+    n = check_positive_int(n, "n")
     lam_min = args.lam_min if args.lam_min is not None else budget.epsilon_a / 100.0
     lam_max = args.lam_max if args.lam_max is not None else 100.0 * budget.rel_boundary
-    points = _check_pos_int(args.grid_points, "points")
+    points = check_positive_int(args.grid_points, "points")
     grid = lambda_grid(budget, lam_min, lam_max, points)
-    coverage_points = scan_coverage(n, budget, grid, threads=threads)
+    coverage_points = scan_coverage(n, budget, grid)
     threshold = 1.0 - budget.delta
     rows = [
         {
@@ -277,7 +254,7 @@ def _write_scan_csv(path: str, rows: list) -> None:
             )
 
 
-def _cmd_bound(args, threads: int) -> dict:
+def _cmd_bound(args) -> dict:
     theta, r, side = args.theta, args.r, args.side
     if not theta > 0.0:
         raise ParameterError("theta", f"--theta must be > 0, got {theta!r}")
@@ -386,8 +363,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
-        envelope = args.handler(args, threads)
+        envelope = args.handler(args)
     except ParameterError as exc:
         flag = _FLAG_OF.get(exc.param, exc.param)
         print(f"poissonplan {args.command}: error: {flag}: {exc}", file=sys.stderr)

@@ -15,3 +15,13 @@ class ParameterError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A request exceeds a configured resource cap (e.g. trial budget)."""
+
+
+def check_positive_int(value, name: str) -> int:
+    """Return ``value`` if it is an int >= 1 (bools excluded), else raise.
+
+    The ParameterError names ``name`` so front ends can map it to a flag.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParameterError(name, f"{name} must be a positive integer, got {value!r}")
+    return value

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import chernoff_log_bound
 from .budget import CaseLabel, ErrorBudget, case_of
-from .errors import ParameterError
+from .errors import ParameterError, check_positive_int
 
 _LN_SQRT_2PI = 0.9189385332046727
 _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
@@ -126,9 +126,10 @@ def _mass_exactish(theta: float, lo: int, hi: int) -> float:
 def poisson_cdf(theta: float, k: int) -> float:
     """Pr{K <= k} for K ~ Poisson(theta); k < 0 returns 0.
 
-    The sum is truncated at the Chernoff-certified point beyond which the
-    remaining mass is below 1e-16, then accumulated with math.fsum (exact
-    compensated summation), keeping the absolute error within 1e-13.
+    The sum starts and stops at the Chernoff-certified points beyond which
+    the neglected mass on either side is below 1e-16, and is accumulated
+    with math.fsum (exact compensated summation), keeping the absolute
+    error within 1e-13.
     """
     _check_theta(theta)
     if isinstance(k, bool) or k != int(k):
@@ -136,7 +137,8 @@ def poisson_cdf(theta: float, k: int) -> float:
     k = int(k)
     if k < 0:
         return 0.0
-    total = _mass_exactish(theta, 0, min(k, _upper_cut(theta)))
+    lo = max(0, _lower_cut(theta) + 1)
+    total = _mass_exactish(theta, lo, min(k, _upper_cut(theta)))
     return min(total, 1.0)
 
 
@@ -197,8 +199,7 @@ def coverage_window(n: int, lam: float, budget: ErrorBudget) -> Tuple[int, int]:
     rational), so strict inequalities are honored even when n*(lam -+ w)
     lands exactly on an integer: such counts are excluded.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParameterError("n", f"n must be a positive integer, got {n!r}")
+    check_positive_int(n, "n")
     if not lam > 0.0 or math.isinf(lam):
         raise ParameterError("lam", f"lam must be a positive finite real, got {lam!r}")
     lam_q = Fraction(lam)

@@ -21,15 +21,15 @@ normal-approximation baseline for comparison.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .bounds import _h
-from .budget import CaseLabel, ErrorBudget, case_of  # noqa: F401  (re-exported surface)
-from .errors import ParameterError
+from .budget import ErrorBudget
+from .errors import ParameterError, check_positive_int
 from .exact import CoveragePoint, exact_coverage
 
 # Relative snap width for the integer tie rule: a right-hand side this close
@@ -96,8 +96,7 @@ def is_sufficient(n: int, budget: ErrorBudget) -> bool:
     Checks n * g_c < ln(delta/2), the exponential-threshold form of the
     closed-form rule.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParameterError("n", f"n must be a positive integer, got {n!r}")
+    check_positive_int(n, "n")
     return n * critical_exponent(budget) < math.log(budget.delta / 2.0)
 
 
@@ -140,17 +139,9 @@ def scan_coverage(
     n: int,
     budget: ErrorBudget,
     grid: Optional[Sequence[float]] = None,
-    threads: int = 1,
 ) -> List[CoveragePoint]:
-    """Exact coverage at each grid mean, in grid order.
-
-    Results are identical regardless of ``threads``: points are independent
-    and the output preserves input order.
-    """
+    """Exact coverage at each grid mean, in grid order."""
     lams = tuple(default_lambda_grid(budget) if grid is None else grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda lam: exact_coverage(n, lam, budget), lams))
     return [exact_coverage(n, lam, budget) for lam in lams]
 
 
@@ -188,9 +179,7 @@ def min_sample_size_exact(
         return True
 
     base = formula_sample_size(budget)
-    hint = base.n if n_hint is None else n_hint
-    if not isinstance(hint, int) or isinstance(hint, bool) or hint < 1:
-        raise ParameterError("n_hint", f"n_hint must be a positive integer, got {n_hint!r}")
+    hint = base.n if n_hint is None else check_positive_int(n_hint, "n_hint")
 
     if ok(hint):
         hi = hint
@@ -211,53 +200,11 @@ def min_sample_size_exact(
     return PlanResult(hi, base.rhs, base.critical_exponent, "exact_search")
 
 
-# Coefficients of Acklam's rational approximation to the standard normal
-# quantile (relative error < 1.15e-9), refined below by one Halley step
-# against erfc to push the error near machine precision.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-
-
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile; |error| far below the documented 1e-8."""
+    """Standard normal quantile, p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ParameterError("p", f"quantile argument must be in (0, 1), got {p!r}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    # One Halley refinement using the exact cdf via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(p)
 
 
 def normal_approx_sample_size(

@@ -6,25 +6,23 @@ integer window of the event, the same window the exact oracle integrates.
 
 Streams are built on the counter-based Philox bit generator, whose raw
 output is stable across platforms and numpy versions.  Trials are split
-into fixed-size blocks, one spawned substream per block, so concurrent and
-sequential runs aggregate the same per-block hit counts; the block size is
-part of the pinned stream definition.  Variates come from this module's own
-samplers (inverse-cdf search for means up to 30, Hormann's PTRS transformed
-rejection above) rather than the numpy distribution methods, whose streams
-may change between numpy releases.
+into fixed-size blocks, one spawned substream per block; the block size and
+the per-block spawn are part of the pinned stream definition.  Variates
+come from this module's own samplers (inverse-cdf search for means up to
+30, Hormann's PTRS transformed rejection above) rather than the numpy
+distribution methods, whose streams may change between numpy releases.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .budget import ErrorBudget
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, check_positive_int
 from .exact import coverage_window
 
 TRIALS_CAP = 10**9
@@ -45,12 +43,10 @@ class SimConfig:
     budget: ErrorBudget
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ParameterError("trials", f"trials must be >= 1, got {self.trials!r}")
+        check_positive_int(self.trials, "trials")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ParameterError("seed", f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError("n", f"n must be a positive integer, got {self.n!r}")
+        check_positive_int(self.n, "n")
         if not self.lam > 0.0:
             raise ParameterError("lam", f"lam must be > 0, got {self.lam!r}")
 
@@ -92,21 +88,16 @@ def _sample_inversion_block(theta: float, rng: Generator, size: int) -> np.ndarr
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
-def _ptrs_constants(theta: float):
-    b = 0.931 + 2.53 * math.sqrt(theta)
-    a = -0.059 + 0.02483 * b
-    vr = 0.9277 - 3.6224 / (b - 2.0)
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    return a, b, vr, inv_alpha
-
-
 def _sample_ptrs_block(theta: float, rng: Generator, size: int) -> np.ndarray:
     """Hormann's PTRS transformed-rejection sampler, vectorized.
 
     Rejected slots redraw in subsequent passes; the uniform-consumption
     pattern is fixed by this implementation and deterministic per stream.
     """
-    a, b, vr, inv_alpha = _ptrs_constants(theta)
+    b = 0.931 + 2.53 * math.sqrt(theta)
+    a = -0.059 + 0.02483 * b
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     log_theta = math.log(theta)
     out = np.empty(size, dtype=np.int64)
     pending = np.arange(size)
@@ -144,48 +135,19 @@ def _sample_poisson_block(theta: float, rng: Generator, size: int) -> np.ndarray
 def poisson_sampler(theta: float, stream: Generator) -> int:
     """One exact Poisson(theta) variate from ``stream``.
 
-    Inversion by sequential search for theta <= 30, PTRS transformed
-    rejection above; both consume only uniforms, so the draw is a pure
-    function of the stream state.
+    A block of one from the samplers ``simulate_coverage`` uses (inversion
+    for theta <= 30, PTRS transformed rejection above); both consume only
+    uniforms, so the draw is a pure function of the stream state.
     """
     if not theta > 0.0:
         raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
-    if theta <= _INVERSION_MAX_MEAN:
-        u = stream.random()
-        p = math.exp(-theta)
-        cum = p
-        k = 0
-        k_cap = int(theta + 40.0 * math.sqrt(theta) + 60.0)
-        while cum <= u and k < k_cap:
-            k += 1
-            p *= theta / k
-            cum += p
-        return k
-    a, b, vr, inv_alpha = _ptrs_constants(theta)
-    log_theta = math.log(theta)
-    while True:
-        u = stream.random() - 0.5
-        v = stream.random()
-        us = 0.5 - abs(u)
-        if us <= 0.0:
-            continue
-        k = math.floor((2.0 * a / us + b) * u + theta + 0.43)
-        if us >= 0.07 and v <= vr:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if math.log(v * inv_alpha / (a / (us * us) + b)) <= (
-            k * log_theta - theta - math.lgamma(k + 1.0)
-        ):
-            return int(k)
+    return int(_sample_poisson_block(theta, stream, 1)[0])
 
 
-def simulate_coverage(cfg: SimConfig, threads: int = 1) -> SimResult:
+def simulate_coverage(cfg: SimConfig) -> SimResult:
     """Estimate the coverage probability by seeded Monte Carlo.
 
-    Identical configs produce identical results; ``threads`` only chooses
-    how many of the per-block substreams run at once, and the integer hit
-    counts aggregate order-independently.
+    Identical configs produce identical results.
     """
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
@@ -201,17 +163,11 @@ def simulate_coverage(cfg: SimConfig, threads: int = 1) -> SimResult:
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     children = SeedSequence(cfg.seed).spawn(n_blocks)
 
-    def run_block(i: int) -> int:
+    hits = 0
+    for i, child in enumerate(children):
         size = min(_BLOCK, cfg.trials - i * _BLOCK)
-        rng = Generator(Philox(children[i]))
-        ks = _sample_poisson_block(theta, rng, size)
-        return int(np.count_nonzero((ks >= lo) & (ks <= hi)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_block, range(n_blocks)))
-    else:
-        hits = sum(run_block(i) for i in range(n_blocks))
+        ks = _sample_poisson_block(theta, Generator(Philox(child)), size)
+        hits += int(np.count_nonzero((ks >= lo) & (ks <= hi)))
 
     estimate = hits / cfg.trials
     half_width = 3.0 * math.sqrt(estimate * (1.0 - estimate) / cfg.trials)

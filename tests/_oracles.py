@@ -47,6 +47,15 @@ def cdf_ref(theta, k):
     return mpmath.fsum(pmf_ref(theta, i) for i in range(0, int(k) + 1))
 
 
+def cdf_gamma_ref(theta, k):
+    """Pr{K <= k} as the regularized upper incomplete gamma Q(k+1, theta).
+
+    Independent of pmf summation, and fast at means where summing from 0
+    at 60 digits is not.
+    """
+    return mpmath.gammainc(k + 1, mpf_of(theta), mpmath.inf, regularized=True)
+
+
 def tail_ref(theta, r, side):
     """Pr{K >= r} or Pr{K <= r} at high precision (non-strict)."""
     if side == "geq":

@@ -46,6 +46,13 @@ class TestSize:
         assert "--eps-r" in err
         assert "(0, 1)" in err
 
+    def test_infinite_eps_a_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "size", "--eps-a", "inf", "--eps-r", "0.1", "--delta", "0.05"
+        )
+        assert code == 2
+        assert "--eps-a" in err
+
     def test_normal_method(self, capsys):
         report = run_json(
             capsys, "size", "--method", "normal", "--lambda", "1",
@@ -287,25 +294,3 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["n"] == 762
 
-
-class TestEnvThreads:
-    def test_thread_env_is_honored_and_result_stable(self, capsys, monkeypatch):
-        argv = [
-            "verify", "--n", "40", "--lambda", "1.3",
-            "--eps-a", "0.2", "--eps-r", "0.2", "--delta", "0.1",
-            "--mc-trials", "200000", "--seed", "21",
-        ]
-        monkeypatch.delenv("PLAN_THREADS", raising=False)
-        base = run_json(capsys, *argv)
-        monkeypatch.setenv("PLAN_THREADS", "4")
-        threaded = run_json(capsys, *argv)
-        assert base["results"] == threaded["results"]
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_invalid_thread_env_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("PLAN_THREADS", value)
-        code, _, err = run_cli(
-            capsys, "size", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05"
-        )
-        assert code == 2
-        assert "PLAN_THREADS" in err

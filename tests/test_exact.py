@@ -22,7 +22,7 @@ from poissonplan import (
 )
 from poissonplan.exact import _mass_exactish, _window_mass
 
-from _oracles import cdf_ref, coverage_ref, pmf_ref, tail_ref, window_ref
+from _oracles import cdf_gamma_ref, cdf_ref, coverage_ref, pmf_ref, tail_ref, window_ref
 
 E_INV = 0.36787944117144233
 PMF_2_0 = 0.1353352832366127
@@ -105,6 +105,12 @@ class TestCdf:
     )
     def test_matches_reference(self, theta, k):
         assert poisson_cdf(theta, k) == pytest.approx(float(cdf_ref(theta, k)), abs=1e-13)
+
+    @pytest.mark.parametrize("k", [90_000, 98_000, 99_000, 100_000, 101_000])
+    def test_large_mean_matches_reference(self, k):
+        # The sum starts at the certified lower cut, not at k = 0.
+        theta = 1e5
+        assert poisson_cdf(theta, k) == pytest.approx(float(cdf_gamma_ref(theta, k)), abs=1e-13)
 
     def test_monotone_and_bounded(self):
         values = [poisson_cdf(7.0, k) for k in range(0, 40)]

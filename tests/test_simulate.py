@@ -33,16 +33,12 @@ class TestReproducibility:
         cfg = SimConfig(trials=50_000, seed=42, n=1, lam=1.0, budget=ErrorBudget(1.0, 0.5, 0.05))
         assert simulate_coverage(cfg) == simulate_coverage(cfg)
 
-    def test_thread_count_does_not_change_result(self):
-        cfg = SimConfig(trials=300_000, seed=9, n=3, lam=2.0, budget=ErrorBudget(0.5, 0.2, 0.1))
-        assert simulate_coverage(cfg, threads=1) == simulate_coverage(cfg, threads=4)
-
     def test_block_boundary_sizes(self):
         # Crossing the 65536-per-block boundary must stay deterministic.
         budget = ErrorBudget(0.5, 0.2, 0.1)
         for trials in (65_535, 65_536, 65_537, 131_073):
             cfg = SimConfig(trials=trials, seed=5, n=2, lam=1.5, budget=budget)
-            a, b = simulate_coverage(cfg), simulate_coverage(cfg, threads=3)
+            a, b = simulate_coverage(cfg), simulate_coverage(cfg)
             assert a == b
             assert a.trials == trials
             assert 0 <= a.hits <= trials
@@ -108,6 +104,10 @@ class TestSimulateCoverage:
             SimConfig(trials=1, seed=0, n=0, lam=1.0, budget=budget)
         with pytest.raises(ParameterError):
             SimConfig(trials=1, seed=0, n=1, lam=0.0, budget=budget)
+        with pytest.raises(ParameterError):
+            SimConfig(trials=True, seed=0, n=1, lam=1.0, budget=budget)
+        with pytest.raises(ParameterError):
+            SimConfig(trials=1, seed=0, n=True, lam=1.0, budget=budget)
 
 
 class TestScalarSampler:
