@@ -5,8 +5,8 @@ inputs so a report is sufficient to reproduce itself.  All floats are
 serialized with 17 significant digits, so parsing a report recovers every
 value bit-exactly.
 
-Exit codes: 0 success, 2 usage/parameter error, 3 internal numeric failure,
-4 I/O failure.
+Exit codes: 0 success, 2 usage/parameter error or resource limit, 3 internal
+numeric failure (including a non-finite report value), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -256,10 +256,10 @@ def _write_scan_csv(path: str, rows: list) -> None:
 
 def _cmd_bound(args) -> dict:
     theta, r, side = args.theta, args.r, args.side
-    if not theta > 0.0:
-        raise ParameterError("theta", f"--theta must be > 0, got {theta!r}")
-    if not r >= 0.0:
-        raise ParameterError("r", f"--r must be >= 0, got {r!r}")
+    if not 0.0 < theta < math.inf:
+        raise ParameterError("theta", f"--theta must be finite and > 0, got {theta!r}")
+    if not 0.0 <= r < math.inf:
+        raise ParameterError("r", f"--r must be finite and >= 0, got {r!r}")
     ok = r > theta if side == "upper" else r < theta
     warnings = []
     if not ok:
@@ -364,6 +364,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         envelope = args.handler(args)
+        if args.format == "text":
+            print(_render_text(envelope))
+        else:
+            print(_to_json(envelope))
     except ParameterError as exc:
         flag = _FLAG_OF.get(exc.param, exc.param)
         print(f"poissonplan {args.command}: error: {flag}: {exc}", file=sys.stderr)
@@ -377,10 +381,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # numeric or internal failure
         print(f"poissonplan {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
-    if args.format == "text":
-        print(_render_text(envelope))
-    else:
-        print(_to_json(envelope))
     return 0
 
 

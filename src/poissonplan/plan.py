@@ -29,8 +29,8 @@ import numpy as np
 
 from .bounds import _h
 from .budget import ErrorBudget
-from .errors import ParameterError, check_positive_int
-from .exact import CoveragePoint, exact_coverage
+from .errors import ParameterError, ResourceLimitError, check_positive_int
+from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
 
 # Relative snap width for the integer tie rule: a right-hand side this close
 # to an integer is treated as exactly that integer (and bumped by one).
@@ -79,9 +79,20 @@ def _smallest_int_above(x: float, rel_tol: float = _TIE_REL) -> int:
 
 
 def formula_sample_size(budget: ErrorBudget) -> PlanResult:
-    """Sample size from the closed-form rule (smallest integer above the rhs)."""
+    """Sample size from the closed-form rule (smallest integer above the rhs).
+
+    Raises ResourceLimitError when the right-hand side overflows a double,
+    including when h(epsilon_r) underflows to 0 (epsilon_r below about
+    2.7e-162).
+    """
     g_c = critical_exponent(budget)
-    rhs = (budget.epsilon_r / budget.epsilon_a) * math.log(2.0 / budget.delta) / (-_h(budget.epsilon_r))
+    h = _h(budget.epsilon_r)
+    rhs = (budget.epsilon_r / budget.epsilon_a) * math.log(2.0 / budget.delta) / -h if h else math.inf
+    if not math.isfinite(rhs):
+        raise ResourceLimitError(
+            f"the closed-form n overflows for epsilon_a={budget.epsilon_a!r}, "
+            f"epsilon_r={budget.epsilon_r!r} (h(epsilon_r) = {h!r}), delta={budget.delta!r}"
+        )
     return PlanResult(
         n=_smallest_int_above(rhs),
         rhs=rhs,
@@ -112,6 +123,8 @@ def lambda_grid(
     +-1e-6 relative) are added when they fall inside the range, so a scan
     always exercises the regime switches exactly and just off-exactly.
     """
+    if not lam_max < math.inf:
+        raise ParameterError("lam_max", f"lam_max must be finite, got {lam_max!r}")
     if not 0.0 < lam_min <= lam_max:
         raise ParameterError(
             "lam_min", f"need 0 < lam_min <= lam_max, got {lam_min!r}, {lam_max!r}"
@@ -165,15 +178,17 @@ def min_sample_size_exact(
     if not lams:
         raise ParameterError("grid", "grid must be non-empty")
     for lam in lams:
-        if not lam > 0.0:
-            raise ParameterError("grid", f"grid means must be > 0, got {lam!r}")
+        if not 0.0 < lam < math.inf:
+            raise ParameterError("grid", f"grid means must be finite and > 0, got {lam!r}")
+    ratios = [_window_ratios(lam, budget) for lam in lams]
 
     target = 1.0 - budget.delta
     order = list(range(len(lams)))
 
     def ok(n: int) -> bool:
         for pos, idx in enumerate(order):
-            if exact_coverage(n, lams[idx], budget).coverage < target:
+            k_min, k_max = _window_at(n, ratios[idx])
+            if _window_mass(n * lams[idx], k_min, k_max) < target:
                 order.insert(0, order.pop(pos))
                 return False
         return True

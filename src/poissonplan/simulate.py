@@ -11,6 +11,8 @@ the per-block spawn are part of the pinned stream definition.  Variates
 come from this module's own samplers (inverse-cdf search for means up to
 30, Hormann's PTRS transformed rejection above) rather than the numpy
 distribution methods, whose streams may change between numpy releases.
+Means above 2^53, where draws would be quantized and overflow int64, raise
+ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .budget import ErrorBudget
 from .errors import ParameterError, ResourceLimitError, check_positive_int
-from .exact import coverage_window
+from .exact import THETA_MAX, coverage_window
 
 TRIALS_CAP = 10**9
 GENERATOR_ID = "philox4x64:block65536:inv+ptrs:v1"
@@ -126,6 +128,14 @@ def _sample_ptrs_block(theta: float, rng: Generator, size: int) -> np.ndarray:
     return out
 
 
+def _check_domain(theta: float) -> None:
+    """Refuse means whose draws would be quantized (> 2^53) or overflow int64."""
+    if not theta <= THETA_MAX:
+        raise ResourceLimitError(
+            f"theta={theta!r} is outside the samplers' domain theta <= 2^53"
+        )
+
+
 def _sample_poisson_block(theta: float, rng: Generator, size: int) -> np.ndarray:
     if theta <= _INVERSION_MAX_MEAN:
         return _sample_inversion_block(theta, rng, size)
@@ -137,23 +147,27 @@ def poisson_sampler(theta: float, stream: Generator) -> int:
 
     A block of one from the samplers ``simulate_coverage`` uses (inversion
     for theta <= 30, PTRS transformed rejection above); both consume only
-    uniforms, so the draw is a pure function of the stream state.
+    uniforms, so the draw is a pure function of the stream state.  Means
+    above 2^53 raise ResourceLimitError.
     """
     if not theta > 0.0:
         raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
+    _check_domain(theta)
     return int(_sample_poisson_block(theta, stream, 1)[0])
 
 
 def simulate_coverage(cfg: SimConfig) -> SimResult:
     """Estimate the coverage probability by seeded Monte Carlo.
 
-    Identical configs produce identical results.
+    Identical configs produce identical results.  Means n*lam above 2^53
+    raise ResourceLimitError.
     """
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
             f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"
         )
     theta = cfg.n * cfg.lam
+    _check_domain(theta)
     k_min, k_max = coverage_window(cfg.n, cfg.lam, cfg.budget)
     # Counts are sampled as int64; clamp the (possibly astronomically wide)
     # window accordingly without changing the event.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -86,6 +87,14 @@ class TestSize:
         assert code == 0
         assert "n = 762" in out
 
+    def test_underflowing_relative_tolerance_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "size", "--eps-a", "1e-300", "--eps-r", "1e-300", "--delta", "0.05"
+        )
+        assert code == 2
+        assert "epsilon_r" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_planned_size_passes(self, capsys):
@@ -115,14 +124,31 @@ class TestVerify:
         assert code == 2
         assert "--n" in err
 
-    def test_numeric_failure_exits_3(self, capsys):
-        # Magnitudes past what the window machinery can represent.
+    def test_astronomical_mean_exits_2(self, capsys):
+        # theta = n*lam above 2^53 is outside the exact kernel's domain and
+        # is refused at once, before any allocation.
+        for n, lam, eps_a, eps_r in [
+            ("1", "1e300", "1e300", "0.5"),
+            ("762", "1e30", "0.1", "0.1"),
+            ("762", "1e300", "0.1", "0.1"),
+        ]:
+            code, out, err = run_cli(
+                capsys, "verify", "--n", n, "--lambda", lam,
+                "--eps-a", eps_a, "--eps-r", eps_r, "--delta", "0.05",
+            )
+            assert code == 2
+            assert "domain" in err
+            assert out == ""
+
+    def test_window_over_term_cap_exits_2(self, capsys):
+        # theta = 1.5e13 is inside the domain, but its certified window has
+        # more terms than the kernel sums.
         code, _, err = run_cli(
-            capsys, "verify", "--n", "1", "--lambda", "1e300",
-            "--eps-a", "1e300", "--eps-r", "0.5", "--delta", "0.05",
+            capsys, "verify", "--n", "762", "--lambda", "2e10",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
         )
-        assert code == 3
-        assert "numeric failure" in err
+        assert code == 2
+        assert "cap" in err
 
     def test_monte_carlo_block(self, capsys):
         report = run_json(
@@ -172,6 +198,18 @@ class TestScan:
         )
         assert report["results"]["n"] == 100
 
+    def test_infinite_lambda_max_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would exit 3
+            code, out, err = run_cli(
+                capsys, "scan", "--lambda-max", "inf",
+                "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+            )
+        assert code == 2
+        assert "error: --lambda-max:" in err
+        assert "RuntimeWarning" not in err
+        assert out == ""
+
     def test_unwritable_output_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys, "scan", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
@@ -183,6 +221,29 @@ class TestScan:
 
 
 class TestBound:
+    @pytest.mark.parametrize(
+        "theta, r, flag",
+        [("inf", "1", "--theta"), ("nan", "1", "--theta"), ("1", "inf", "--r")],
+    )
+    def test_non_finite_input_exits_2(self, capsys, theta, r, flag):
+        code, out, err = run_cli(
+            capsys, "bound", "--theta", theta, "--r", r, "--side", "lower", "--force"
+        )
+        assert code == 2
+        assert f"error: {flag}:" in err
+        assert out == ""
+
+    def test_non_finite_report_exits_3(self, capsys):
+        # Finite inputs whose bound evaluates to nan: the report cannot be
+        # serialized, which is a numeric failure, not a traceback.
+        code, out, err = run_cli(
+            capsys, "bound", "--theta", "1e-300", "--r", "1e300", "--side", "upper", "--exact"
+        )
+        assert code == 3
+        assert "numeric failure" in err
+        assert "non-finite" in err
+        assert out == ""
+
     def test_upper_with_exact(self, capsys):
         report = run_json(
             capsys, "bound", "--theta", "1", "--r", "2", "--side", "upper", "--exact"

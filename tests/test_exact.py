@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from poissonplan import (
     ErrorBudget,
     ParameterError,
+    ResourceLimitError,
     CaseLabel,
     chernoff_log_bound,
     coverage_window,
@@ -20,7 +21,7 @@ from poissonplan import (
     tail_bound_abs,
     tail_bound_rel,
 )
-from poissonplan.exact import _mass_exactish, _window_mass
+from poissonplan.exact import TERM_CAP, THETA_MAX, _mass_exactish, _window_mass
 
 from _oracles import cdf_gamma_ref, cdf_ref, coverage_ref, pmf_ref, tail_ref, window_ref
 
@@ -215,6 +216,62 @@ class TestCoverageWindow:
             coverage_window(1, 0.0, budget)
         with pytest.raises(ParameterError):
             coverage_window(1, float("inf"), budget)
+        with pytest.raises(ParameterError):
+            coverage_window(1, float("nan"), budget)
+
+    @given(
+        n=st.integers(min_value=1, max_value=10**6),
+        lam=st.floats(min_value=1e-6, max_value=1e6),
+        eps_a=st.floats(min_value=1e-4, max_value=10.0),
+        eps_r=st.floats(min_value=1e-4, max_value=0.999),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_arithmetic_matches_rational_oracle(self, n, lam, eps_a, eps_r):
+        budget = ErrorBudget(eps_a, eps_r, 0.05)
+        assert coverage_window(n, lam, budget) == window_ref(n, lam, eps_a, eps_r)
+
+    @given(
+        n=st.integers(min_value=1, max_value=10**6),
+        eps_a=st.floats(min_value=1e-4, max_value=10.0),
+        eps_r=st.floats(min_value=1e-4, max_value=0.999),
+        k=st.integers(min_value=1, max_value=20),
+        where=st.sampled_from(["abs_edge", "rel_boundary", "exact_tie"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_regime_boundaries_match_rational_oracle(self, n, eps_a, eps_r, k, where):
+        if where == "abs_edge":
+            lam = eps_a
+        elif where == "rel_boundary":
+            lam = eps_a / eps_r  # rounded: on either side of the true boundary
+        else:
+            # eps_r = 2^-k and lam = eps_a * 2^k: the absolute and relative
+            # half-widths are equal as rationals, not just as floats.
+            eps_r, lam = 2.0**-k, eps_a * 2.0**k
+        budget = ErrorBudget(eps_a, eps_r, 0.05)
+        assert coverage_window(n, lam, budget) == window_ref(n, lam, eps_a, eps_r)
+
+    @given(
+        m=st.integers(min_value=1, max_value=50),
+        p=st.integers(min_value=0, max_value=12),
+        i=st.integers(min_value=1, max_value=10**4),
+        j=st.integers(min_value=1, max_value=10**4),
+        relative=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_endpoints_landing_on_integers_are_excluded(self, m, p, i, j, relative):
+        lam = i * 2.0**-p
+        if relative:
+            # eps_r = j' / 2^14 binds; n*lam*(1 -+ eps_r) = m*i*(2^14 -+ j').
+            j = j % (2**14 - 1) + 1
+            eps_a, eps_r, n = 2.0**-40, j * 2.0**-14, m * 2 ** (p + 14)
+            lo, hi = m * i * (2**14 - j), m * i * (2**14 + j)
+        else:
+            # eps_a = j / 2^p binds; n*(lam -+ eps_a) = m*(i -+ j).
+            eps_a, eps_r, n = j * 2.0**-p, 2.0**-20, m * 2**p
+            lo, hi = m * (i - j), m * (i + j)
+        window = coverage_window(n, lam, ErrorBudget(eps_a, eps_r, 0.05))
+        assert window == (max(0, lo + 1), hi - 1)
+        assert window == window_ref(n, lam, eps_a, eps_r)
 
 
 class TestExactCoverage:
@@ -323,6 +380,11 @@ class TestWindowMassInternals:
             (1e5, 99000, 101000),
             (430940.0, 400000, 440000),
             (3.0, 0, 2),
+            # More than one 65,536-term block above or below the anchor,
+            # with mass near 1/2 so a block boundary error cannot hide in
+            # the clamp at 1.
+            (1e8, 100_000_000, 100_070_000),
+            (1e8, 99_930_000, 100_000_000),
         ],
     )
     def test_fast_path_matches_compensated_sum(self, theta, lo, hi):
@@ -333,3 +395,19 @@ class TestWindowMassInternals:
     def test_degenerate_and_far_windows(self):
         assert _window_mass(5.0, 3, 2) == 0.0
         assert _window_mass(5.0, 500, 600) == 0.0  # certified-negligible tail
+
+    def test_narrow_window_matches_reference(self):
+        # Fewer than 64 terms: the scalar recurrence, anchored off-window.
+        for theta, lo, hi in [(762.0, 700, 730), (50.0, 0, 10), (1e5, 100_500, 100_540)]:
+            ref = float(cdf_gamma_ref(theta, hi) - cdf_gamma_ref(theta, lo - 1))
+            assert _window_mass(theta, lo, hi) == pytest.approx(ref, rel=1e-13, abs=1e-16)
+
+    def test_term_cap_and_domain_raise_before_summing(self):
+        theta = 1.4e13  # certified window of about 7.5e7 terms
+        with pytest.raises(ResourceLimitError, match="cap"):
+            _window_mass(theta, 0, 2 * int(theta))
+        assert TERM_CAP >= 2**26
+        for theta in (THETA_MAX * 2.0, math.inf):
+            with pytest.raises(ResourceLimitError, match="domain"):
+                _window_mass(theta, 0, 10)
+        assert _window_mass(math.inf, 10, 9) == 0.0  # empty windows need no theta

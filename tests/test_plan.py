@@ -10,6 +10,7 @@ from poissonplan import (
     CaseLabel,
     ErrorBudget,
     ParameterError,
+    ResourceLimitError,
     case_of,
     critical_exponent,
     default_lambda_grid,
@@ -35,6 +36,23 @@ Z_975 = 1.9599639845400543
 # Regression fixture (computed by this package's exact search on the default
 # grid; a property of the implementation, not an external truth).
 EXACT_MIN_N_CANONICAL = 381  # for ErrorBudget(0.1, 0.1, 0.05)
+
+# The same kind of fixture for budgets (eps_a, eps_r, delta) spread over
+# eps_a in [0.05, 1], eps_r in [0.05, 0.8], delta in [0.01, 0.2].
+EXACT_MIN_N_PANEL = [
+    ((0.05, 0.8, 0.2), 46),
+    ((0.07, 0.3, 0.1), 127),
+    ((0.1, 0.1, 0.05), 381),
+    ((0.1, 0.5, 0.01), 134),
+    ((0.15, 0.05, 0.2), 221),
+    ((0.2, 0.2, 0.02), 136),
+    ((0.3, 0.08, 0.05), 161),
+    ((0.4, 0.6, 0.15), 9),
+    ((0.5, 0.12, 0.01), 111),
+    ((0.7, 0.25, 0.08), 18),
+    ((0.9, 0.05, 0.03), 105),
+    ((1.0, 0.8, 0.01), 9),
+]
 
 BUDGET_GRID = [
     ErrorBudget(ea, er, d)
@@ -76,6 +94,15 @@ class TestFormulaSampleSize:
         res = formula_sample_size(ErrorBudget(0.2, 0.1, 0.05))
         assert res.n == 381
         assert res.rhs == pytest.approx(RHS_B, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "eps_a, eps_r",
+        [(1e-300, 1e-300), (0.1, 1e-170), (5e-324, 0.9)],
+    )
+    def test_unrepresentable_rule_raises_resource_limit(self, eps_a, eps_r):
+        # h(eps_r) underflows to 0, or the right-hand side overflows.
+        with pytest.raises(ResourceLimitError):
+            formula_sample_size(ErrorBudget(eps_a, eps_r, 0.05))
 
     def test_doubling_eps_a_exactly_halves_rhs(self):
         for er, d in [(0.1, 0.05), (0.5, 0.2), (0.9, 0.01)]:
@@ -253,6 +280,16 @@ class TestLambdaGrids:
         with pytest.raises(ParameterError):
             lambda_grid(budget, 1.0, 2.0, 0)
 
+    @pytest.mark.parametrize(
+        "lam_min, lam_max, param",
+        [(1.0, math.inf, "lam_max"), (1.0, math.nan, "lam_max"),
+         (math.inf, math.inf, "lam_max"), (math.nan, 2.0, "lam_min")],
+    )
+    def test_non_finite_ends_rejected_by_name(self, lam_min, lam_max, param):
+        with pytest.raises(ParameterError) as excinfo:
+            lambda_grid(ErrorBudget(0.1, 0.1, 0.05), lam_min, lam_max, 10)
+        assert excinfo.value.param == param
+
 
 class TestScanCoverage:
     def test_scan_order_matches_grid(self):
@@ -276,6 +313,10 @@ class TestMinSampleSizeExact:
         assert res.n == EXACT_MIN_N_CANONICAL
         assert res.n <= formula_sample_size(budget).n
 
+    @pytest.mark.parametrize("eps, n", EXACT_MIN_N_PANEL)
+    def test_pinned_panel(self, eps, n):
+        assert min_sample_size_exact(ErrorBudget(*eps)).n == n
+
     def test_minimality_witness(self):
         budget = ErrorBudget(0.1, 0.1, 0.05)
         n_star = min_sample_size_exact(budget).n
@@ -294,6 +335,10 @@ class TestMinSampleSizeExact:
             min_sample_size_exact(budget, grid=[])
         with pytest.raises(ParameterError):
             min_sample_size_exact(budget, grid=[1.0, -2.0])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError) as excinfo:
+                min_sample_size_exact(budget, grid=[1.0, bad])
+            assert excinfo.value.param == "grid"
         with pytest.raises(ParameterError):
             min_sample_size_exact(budget, n_hint=0)
 

@@ -94,6 +94,15 @@ class TestSimulateCoverage:
         with pytest.raises(ResourceLimitError):
             simulate_coverage(cfg)
 
+    def test_theta_domain(self):
+        # n*lam = 7.62e19 > 2^53: PTRS draws would be quantized and overflow int64.
+        cfg = SimConfig(trials=10, seed=0, n=762, lam=1e17, budget=ErrorBudget(0.1, 0.1, 0.05))
+        with pytest.raises(ResourceLimitError):
+            simulate_coverage(cfg)
+        with pytest.raises(ResourceLimitError):
+            poisson_sampler(2.0**54, _stream(1))
+        assert poisson_sampler(2.0**53, _stream(1)) > 0  # the bound itself is inside
+
     def test_config_validation(self):
         budget = ErrorBudget(1.0, 0.5, 0.05)
         with pytest.raises(ParameterError):
