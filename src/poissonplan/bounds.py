@@ -64,6 +64,11 @@ def chernoff_log_bound(theta: float, r: float) -> float:
     Defined for r >= 0; the r = 0 value is the continuous limit -theta.
     No tail-side precondition is checked here: the value only *bounds* a
     tail probability on the sides enforced by the public functions.
+
+    Evaluated as theta*h((r-theta)/theta), which keeps full accuracy for r
+    near theta, except where that ratio overflows or rounds to -1 (r/theta
+    beyond the double range either way); there the direct form
+    r - theta - r*(ln r - ln theta) stays finite.
     """
     if not theta > 0.0:
         raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
@@ -71,7 +76,10 @@ def chernoff_log_bound(theta: float, r: float) -> float:
         raise ParameterError("r", f"r must be >= 0, got {r!r}")
     if r == 0.0:
         return -theta
-    return theta * _h((r - theta) / theta)
+    u = (r - theta) / theta
+    if math.isinf(u) or u == -1.0:
+        return r - theta - r * (math.log(r) - math.log(theta))
+    return theta * _h(u)
 
 
 def chernoff_upper_tail(theta: float, r: float) -> float:

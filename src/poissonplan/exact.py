@@ -12,20 +12,21 @@ lgamma(k+1)), no large terms are differenced, so the relative error stays
 near machine precision even for theta in the hundreds of thousands.
 
 Series over k are truncated only where this module's own Chernoff bound
-certifies the neglected tail mass below 1e-16.  The cdf and the single
-tails sum saddle-point terms with math.fsum.  Coverage windows take one
-route: one saddle-point anchor at the in-window mode, extended by the ratio
-recurrence pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most 65,536
-terms, so memory does not grow with theta.
+certifies the neglected tail mass below 1e-16.  Coverage windows, the cdf
+and the single tails take one route: one saddle-point anchor at the
+in-window mode, extended by the ratio recurrence
+pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most 65,536 terms, so memory
+does not grow with theta.
 
 Window endpoints are exact: each double is split into its integer ratio and
 n*(lam -+ w) is floored or ceiled by integer division, so a count landing
 exactly on an endpoint is excluded as the strict inequality demands.
 
-Domain: the window kernel accepts theta <= 2^53 (THETA_MAX) and at most
-TERM_CAP = 2^26 terms after clipping, which a window around the mean
-reaches near theta = 1.1e13.  Beyond either it raises ResourceLimitError
-rather than allocate or run without bound.
+Domain: the window kernel, and with it the cdf and the tails, accepts
+theta <= 2^53 (THETA_MAX) and at most TERM_CAP = 2^26 terms after
+clipping, which a window around the mean reaches near theta = 1.1e13.
+Beyond either it raises ResourceLimitError rather than allocate or run
+without bound.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ _LN_SQRT_2PI = 0.9189385332046727
 _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
 
 # Domain of the window kernel: above 2^53 consecutive counts are no longer
-# distinct doubles.  The samplers in simulate share this bound.
+# distinct doubles.
 THETA_MAX = 2.0**53
 # Most terms one window sum may take after clipping to the certified cuts
 # (about theta = 1.1e13 for a window around the mean); wider raises
@@ -143,20 +144,13 @@ def _lower_cut(theta: float) -> int:
     return max(m, 0)
 
 
-def _mass_exactish(theta: float, lo: int, hi: int) -> float:
-    """fsum of pmf over [lo, hi]; exact compensated summation of saddle-point terms."""
-    if hi < lo:
-        return 0.0
-    return math.fsum(poisson_pmf(theta, i) for i in range(lo, hi + 1))
-
-
 def poisson_cdf(theta: float, k: int) -> float:
     """Pr{K <= k} for K ~ Poisson(theta); k < 0 returns 0.
 
-    The sum starts and stops at the Chernoff-certified points beyond which
-    the neglected mass on either side is below 1e-16, and is accumulated
-    with math.fsum (exact compensated summation), keeping the absolute
-    error within 1e-13.
+    The window [0, k] goes through the coverage kernel: clipped to the
+    Chernoff-certified cuts beyond which the neglected mass on either side
+    is below 1e-16, anchored at the in-window mode and extended by the
+    ratio recurrence, with the kernel's domain and term cap.
     """
     _check_theta(theta)
     if isinstance(k, bool) or k != int(k):
@@ -164,27 +158,26 @@ def poisson_cdf(theta: float, k: int) -> float:
     k = int(k)
     if k < 0:
         return 0.0
-    lo = max(0, _lower_cut(theta) + 1)
-    total = _mass_exactish(theta, lo, min(k, _upper_cut(theta)))
-    return min(total, 1.0)
+    return _window_mass(theta, 0, k)
 
 
 def exact_tail(theta: float, r: float, side: str) -> float:
     """Pr{K >= r} (side="geq") or Pr{K <= r} (side="leq"), non-strict.
 
-    Computed by direct summation of pmf terms on the tail side, so deep
-    tails keep full relative accuracy instead of cancelling against 1.
-    Mass beyond the certified 1e-16 truncation point is dropped.
+    Summed over the tail side only, anchored at the tail's end nearest the
+    mode, so deep tails keep full relative accuracy instead of cancelling
+    against 1.  Mass beyond the certified 1e-16 truncation point is dropped.
+    The coverage kernel's domain and term cap apply.
     """
     _check_theta(theta)
     if side == "geq":
         lo = max(0, math.ceil(r))
-        return min(_mass_exactish(theta, lo, _upper_cut(theta)), 1.0)
+        return _window_mass(theta, lo, max(lo, _upper_cut(theta)))
     if side == "leq":
         hi = math.floor(r)
         if hi < 0:
             return 0.0
-        return min(_mass_exactish(theta, max(0, _lower_cut(theta) + 1), hi), 1.0)
+        return _window_mass(theta, 0, hi)
     raise ParameterError("side", f"side must be 'geq' or 'leq', got {side!r}")
 
 

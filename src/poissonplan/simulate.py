@@ -8,30 +8,37 @@ Streams are built on the counter-based Philox bit generator, whose raw
 output is stable across platforms and numpy versions.  Trials are split
 into fixed-size blocks, one spawned substream per block; the block size and
 the per-block spawn are part of the pinned stream definition.  Variates
-come from this module's own samplers (inverse-cdf search for means up to
-30, Hormann's PTRS transformed rejection above) rather than the numpy
-distribution methods, whose streams may change between numpy releases.
-Means above 2^53, where draws would be quantized and overflow int64, raise
-ResourceLimitError.
+come from this module's own sampler rather than the numpy distribution
+methods, whose streams may change between numpy releases: one inverse-cdf
+lookup per draw, consuming exactly one uniform u and returning the smallest
+k with cdf(k) > u.  The cdf table spans the exact module's certified cuts
+(less than 1e-16 of the mass lies outside on either side) and is built once
+per mean; a guide index over u finds each count in about one step.  A
+scalar draw is the same lookup as a block of one.  The table is capped at
+TABLE_CAP entries (means up to about 2.7e9); larger means raise
+ResourceLimitError, which the command line reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .budget import ErrorBudget
 from .errors import ParameterError, ResourceLimitError, check_positive_int
-from .exact import THETA_MAX, coverage_window
+from .exact import _cut_guesses, _lower_cut, _upper_cut, coverage_window, poisson_pmf
 
 TRIALS_CAP = 10**9
-GENERATOR_ID = "philox4x64:block65536:inv+ptrs:v1"
+GENERATOR_ID = "philox4x64:block65536:guide-inversion:v2"
+# Most cdf-table entries; bounds the table and its guide index to about 24 MB.
+TABLE_CAP = 2**20
 
 _BLOCK = 65536
-_INVERSION_MAX_MEAN = 30.0
 
 
 @dataclass(frozen=True)
@@ -64,115 +71,97 @@ class SimResult:
     generator: str = GENERATOR_ID
 
 
-def _cdf_table(theta: float) -> np.ndarray:
-    """Cumulative pmf table covering all but < 1e-15 of the mass."""
-    terms = [math.exp(-theta)]
-    total = terms[0]
-    k = 0
-    p = terms[0]
-    k_cap = int(theta + 40.0 * math.sqrt(theta) + 60.0)
-    while total < 1.0 - 1e-15 and k < k_cap:
-        k += 1
-        p *= theta / k
-        terms.append(p)
-        total += p
-    return np.cumsum(np.asarray(terms))
+@lru_cache(maxsize=1)
+def _table(theta: float) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(first, cum, guide): the cdf table of Poisson(theta) between its certified cuts.
 
-
-def _sample_inversion_block(theta: float, rng: Generator, size: int) -> np.ndarray:
-    """Inverse-cdf draws: smallest k with cdf(k) > u.
-
-    The residual u beyond the table (< 1e-15 probability) maps to the first
-    count past the table end.
+    cum[j] is the cdf at count first + j, anchored at the in-window mode
+    with the saddle-point pmf and extended by the ratio recurrence
+    pmf(k+1) = pmf(k)*theta/(k+1), as the exact window kernel does.  It
+    ends with an inf sentinel, so a lookup past the table's mass (below
+    1e-16) returns the first count after the table.  guide[c] is the number
+    of entries <= c/len(guide); its length is a power of two, so
+    c = floor(u*len(guide)) is exact and guide[c] never passes the answer
+    for u.  Raises ResourceLimitError above TABLE_CAP entries.
     """
-    cum = _cdf_table(theta)
-    u = rng.random(size)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
-
-
-def _sample_ptrs_block(theta: float, rng: Generator, size: int) -> np.ndarray:
-    """Hormann's PTRS transformed-rejection sampler, vectorized.
-
-    Rejected slots redraw in subsequent passes; the uniform-consumption
-    pattern is fixed by this implementation and deterministic per stream.
-    """
-    b = 0.931 + 2.53 * math.sqrt(theta)
-    a = -0.059 + 0.02483 * b
-    vr = 0.9277 - 3.6224 / (b - 2.0)
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    log_theta = math.log(theta)
-    out = np.empty(size, dtype=np.int64)
-    pending = np.arange(size)
-    while pending.size:
-        m = pending.size
-        u = rng.random(m) - 0.5
-        v = rng.random(m)
-        us = 0.5 - np.abs(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.floor((2.0 * a / us + b) * u + theta + 0.43)
-        # In the squeeze region (us >= 0.07) k is always finite and >= 0 for
-        # means above the switch point, so accept and reject are disjoint.
-        accept = (us >= 0.07) & (v <= vr)
-        reject = ~np.isfinite(k) | (k < 0.0) | ((us < 0.013) & (v > us))
-        needs_test = ~accept & ~reject
-        if np.any(needs_test):
-            kt = k[needs_test]
-            ut = us[needs_test]
-            lhs = np.log(v[needs_test] * inv_alpha / (a / (ut * ut) + b))
-            rhs = kt * log_theta - theta - np.array(
-                [math.lgamma(ki + 1.0) for ki in kt]
-            )
-            accept[np.flatnonzero(needs_test)[lhs <= rhs]] = True
-        out[pending[accept]] = k[accept].astype(np.int64)
-        pending = pending[~accept]
-    return out
-
-
-def _check_domain(theta: float) -> None:
-    """Refuse means whose draws would be quantized (> 2^53) or overflow int64."""
-    if not theta <= THETA_MAX:
+    lo_guess, hi_guess = _cut_guesses(theta)
+    # The cut searches only move outward from their guesses, so a span of
+    # guesses over the cap (or not finite) is refused before searching.
+    span = hi_guess - lo_guess
+    if span < TABLE_CAP:
+        lo, hi = _lower_cut(theta) + 1, _upper_cut(theta)
+        span = hi - lo
+    if not span < TABLE_CAP:
         raise ResourceLimitError(
-            f"theta={theta!r} is outside the samplers' domain theta <= 2^53"
+            f"the sampler's cdf table at theta={theta!r} needs more than "
+            f"TABLE_CAP = {TABLE_CAP} entries (theta above about 2.7e9)"
         )
+    k0 = min(max(int(theta), lo), hi)
+    up = np.cumprod(theta / np.arange(k0 + 1, hi + 1, dtype=np.float64))
+    down = np.cumprod(np.arange(k0, lo, -1, dtype=np.float64) / theta)
+    pmf = poisson_pmf(theta, k0) * np.concatenate((down[::-1], [1.0], up))
+    cum = np.append(np.cumsum(pmf), np.inf)
+    m = 1 << (4 * (hi - lo) + 3).bit_length()  # a power of two >= 4 * table entries
+    guide = np.searchsorted(cum, np.arange(m) / m, side="right").astype(np.int32)
+    cum.flags.writeable = False
+    guide.flags.writeable = False
+    return lo, cum, guide
+
+
+def _lookup(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Smallest index j with cum[j] > u, element-wise; equals searchsorted(cum, u, "right").
+
+    The guide starts each search at or below its answer; two vectorized
+    steps finish nearly all of them and searchsorted finishes the rest.
+    """
+    j = guide[(u * guide.size).astype(np.intp)].astype(np.intp)
+    for _ in range(2):
+        j += cum[j] <= u
+    late = cum[j] <= u
+    if late.any():
+        j[late] = np.searchsorted(cum, u[late], side="right")
+    return j
 
 
 def _sample_poisson_block(theta: float, rng: Generator, size: int) -> np.ndarray:
-    if theta <= _INVERSION_MAX_MEAN:
-        return _sample_inversion_block(theta, rng, size)
-    return _sample_ptrs_block(theta, rng, size)
+    """``size`` Poisson(theta) draws as int64, one uniform each."""
+    first, cum, guide = _table(theta)
+    return _lookup(cum, guide, rng.random(size)) + first
 
 
 def poisson_sampler(theta: float, stream: Generator) -> int:
     """One exact Poisson(theta) variate from ``stream``.
 
-    A block of one from the samplers ``simulate_coverage`` uses (inversion
-    for theta <= 30, PTRS transformed rejection above); both consume only
-    uniforms, so the draw is a pure function of the stream state.  Means
-    above 2^53 raise ResourceLimitError.
+    Consumes one uniform and returns the same count as a block of one from
+    the sampler ``simulate_coverage`` uses, so the draw is a pure function
+    of the stream state.  Means whose cdf table exceeds TABLE_CAP entries
+    (above about 2.7e9) raise ResourceLimitError.
     """
     if not theta > 0.0:
         raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
-    _check_domain(theta)
-    return int(_sample_poisson_block(theta, stream, 1)[0])
+    first, cum, guide = _table(theta)
+    u = stream.random()
+    j = int(guide[int(u * guide.size)])
+    if cum[j] <= u:  # a cdf value lies between the guide cell's start and u
+        j = int(np.searchsorted(cum, u, side="right"))
+    return first + j
 
 
 def simulate_coverage(cfg: SimConfig) -> SimResult:
     """Estimate the coverage probability by seeded Monte Carlo.
 
-    Identical configs produce identical results.  Means n*lam above 2^53
-    raise ResourceLimitError.
+    Identical configs produce identical results.  Means n*lam whose cdf
+    table exceeds TABLE_CAP entries raise ResourceLimitError.
     """
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
             f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"
         )
     theta = cfg.n * cfg.lam
-    _check_domain(theta)
+    _table(theta)  # refuse an over-cap mean before any other work
     k_min, k_max = coverage_window(cfg.n, cfg.lam, cfg.budget)
-    # Counts are sampled as int64; clamp the (possibly astronomically wide)
-    # window accordingly without changing the event.
-    lo = max(k_min, 0)
-    hi = min(k_max, 2**62)
+    # Counts are int64; clamp an astronomically wide window without changing the event.
+    k_max = min(k_max, 2**62)
 
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     children = SeedSequence(cfg.seed).spawn(n_blocks)
@@ -181,7 +170,7 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
     for i, child in enumerate(children):
         size = min(_BLOCK, cfg.trials - i * _BLOCK)
         ks = _sample_poisson_block(theta, Generator(Philox(child)), size)
-        hits += int(np.count_nonzero((ks >= lo) & (ks <= hi)))
+        hits += int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
 
     estimate = hits / cfg.trials
     half_width = 3.0 * math.sqrt(estimate * (1.0 - estimate) / cfg.trials)

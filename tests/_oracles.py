@@ -1,8 +1,9 @@
 """High-precision reference implementations, independent of the package.
 
-Everything here is computed with mpmath at 60 significant digits, taking the
-*exact* rational value of each binary double input, so disagreements with
-the package are genuine implementation error rather than input rounding.
+Everything here except ``mass_exactish`` is computed with mpmath at 60
+significant digits, taking the *exact* rational value of each binary double
+input, so disagreements with the package are genuine implementation error
+rather than input rounding.
 """
 
 import math
@@ -10,6 +11,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+
+from poissonplan import poisson_pmf
 
 mp.dps = 60
 
@@ -54,6 +57,17 @@ def cdf_gamma_ref(theta, k):
     at 60 digits is not.
     """
     return mpmath.gammainc(k + 1, mpf_of(theta), mpmath.inf, regularized=True)
+
+
+def mass_exactish(theta, lo, hi):
+    """math.fsum of the package's saddle-point pmf over [lo, hi], one term per count.
+
+    The per-term route that the recurrence kernel replaced, kept as its
+    double-precision oracle at means where 60-digit summation is slow.
+    """
+    if hi < lo:
+        return 0.0
+    return math.fsum(poisson_pmf(theta, i) for i in range(lo, hi + 1))
 
 
 def tail_ref(theta, r, side):

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from poissonplan import __version__
+from poissonplan import __version__, cli
 from poissonplan.cli import main
 
 E_INV = 0.36787944117144233
@@ -150,6 +150,17 @@ class TestVerify:
         assert code == 2
         assert "cap" in err
 
+    def test_monte_carlo_over_table_cap_exits_2(self, capsys):
+        # theta = 7.62e9: exact coverage is computable, but the sampler's cdf
+        # table would exceed its cap.
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "762", "--lambda", "1e7",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05", "--mc-trials", "10",
+        )
+        assert code == 2
+        assert "TABLE_CAP" in err
+        assert out == ""
+
     def test_monte_carlo_block(self, capsys):
         report = run_json(
             capsys, "verify", "--n", "762", "--lambda", "1",
@@ -233,16 +244,35 @@ class TestBound:
         assert f"error: {flag}:" in err
         assert out == ""
 
-    def test_non_finite_report_exits_3(self, capsys):
-        # Finite inputs whose bound evaluates to nan: the report cannot be
-        # serialized, which is a numeric failure, not a traceback.
+    def test_non_finite_report_exits_3(self, capsys, monkeypatch):
+        # A bound that evaluates to nan cannot be serialized: a numeric
+        # failure, not a traceback.  No finite input is known to produce
+        # one, so the exponent is replaced.
+        monkeypatch.setattr(cli, "chernoff_log_bound", lambda theta, r: math.nan)
         code, out, err = run_cli(
-            capsys, "bound", "--theta", "1e-300", "--r", "1e300", "--side", "upper", "--exact"
+            capsys, "bound", "--theta", "1", "--r", "2", "--side", "upper"
         )
         assert code == 3
         assert "numeric failure" in err
         assert "non-finite" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "theta, r, side", [("1e-300", "1e300", "upper"), ("1e300", "1", "lower")]
+    )
+    def test_extreme_ratio_bound_is_zero(self, capsys, theta, r, side):
+        # r/theta beyond the double range either way: the exponent is far
+        # below -745, so the bound underflows to 0 instead of nan.
+        report = run_json(capsys, "bound", "--theta", theta, "--r", r, "--side", side)
+        assert report["results"]["bound"] == 0.0
+
+    def test_exact_tail_at_huge_mean(self, capsys):
+        # About 7.6 million terms at theta = 1e12, summed by the recurrence
+        # kernel; the reference is scipy.special.gammainc(1000001000000, 1e12).
+        report = run_json(
+            capsys, "bound", "--theta", "1e12", "--r", "1.000001e12", "--side", "upper", "--exact"
+        )
+        assert report["results"]["exact"] == pytest.approx(0.15865537491679918, rel=1e-12)
 
     def test_upper_with_exact(self, capsys):
         report = run_json(

@@ -19,7 +19,8 @@ from poissonplan import (
     poisson_sampler,
     simulate_coverage,
 )
-from poissonplan.simulate import _sample_poisson_block
+from poissonplan.exact import _lower_cut
+from poissonplan.simulate import TABLE_CAP, _lookup, _sample_poisson_block, _table
 
 E_INV = 0.36787944117144233
 
@@ -95,13 +96,17 @@ class TestSimulateCoverage:
             simulate_coverage(cfg)
 
     def test_theta_domain(self):
-        # n*lam = 7.62e19 > 2^53: PTRS draws would be quantized and overflow int64.
+        # The cdf table is capped at TABLE_CAP entries, about theta <= 2.7e9.
         cfg = SimConfig(trials=10, seed=0, n=762, lam=1e17, budget=ErrorBudget(0.1, 0.1, 0.05))
         with pytest.raises(ResourceLimitError):
             simulate_coverage(cfg)
-        with pytest.raises(ResourceLimitError):
-            poisson_sampler(2.0**54, _stream(1))
-        assert poisson_sampler(2.0**53, _stream(1)) > 0  # the bound itself is inside
+        assert TABLE_CAP == 2**20
+        for theta in (2.8e9, 2.0**54, math.inf):
+            with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
+                poisson_sampler(theta, _stream(1))
+            with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
+                _sample_poisson_block(theta, _stream(1), 10)
+        assert poisson_sampler(2.7e9, _stream(1)) > 0  # just inside the cap
 
     def test_config_validation(self):
         budget = ErrorBudget(1.0, 0.5, 0.05)
@@ -146,9 +151,50 @@ class TestScalarSampler:
         with pytest.raises(ParameterError):
             poisson_sampler(0.0, _stream(1))
 
+    @pytest.mark.parametrize("theta", [1e-9, 4.2, 200.0, 1e6])
+    def test_scalar_draws_equal_blocks_of_one(self, theta):
+        scalar, block = _stream(606), _stream(606)
+        a = [poisson_sampler(theta, scalar) for _ in range(10**4)]
+        b = [int(_sample_poisson_block(theta, block, 1)[0]) for _ in range(10**4)]
+        assert a == b
+        assert scalar.random() == block.random()  # one uniform per draw on both paths
+
+
+class _Uniforms:
+    """A stand-in stream whose random() returns the given values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestGuideLookup:
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 5.0, 63.0, 200.0, 3.8e4, 1.5e6])
+    def test_equals_plain_inverse_cdf(self, theta):
+        first, cum, guide = _table(theta)
+        m = guide.size
+        edges = np.arange(m) / m
+        u = np.concatenate([
+            _stream(7).random(100_000),
+            cum[:-1],  # exactly on a cdf value: the next count
+            np.nextafter(cum[:-1], 0.0),
+            edges,  # guide cell edges
+            np.nextafter(edges[1:], 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[u < 1.0]
+        want = np.searchsorted(cum, u, side="right")
+        assert np.array_equal(_lookup(cum, guide, u), want)
+        assert first == _lower_cut(theta) + 1
+        # The scalar path, fed the same uniforms by a stand-in stream.
+        stream = _Uniforms(u.tolist())
+        assert [poisson_sampler(theta, stream) for _ in range(u.size)] == (want + first).tolist()
+
 
 class TestBlockSamplerDistribution:
-    @pytest.mark.parametrize("theta", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("theta", [0.5, 5.0, 50.0, 1e4])
     def test_chi_square_goodness_of_fit(self, theta):
         trials = 10**6
         ks = _sample_poisson_block(theta, _stream(101), trials)
