@@ -13,10 +13,14 @@ near machine precision even for theta in the hundreds of thousands.
 
 Series over k are truncated only where this module's own Chernoff bound
 certifies the neglected tail mass below 1e-16.  Coverage windows, the cdf
-and the single tails take one route: one saddle-point anchor at the
-in-window mode, extended by the ratio recurrence
-pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most 65,536 terms, so memory
-does not grow with theta.
+and the single tails take one kernel, which sums the shorter side: a window
+that holds the mode and more than half of the certified span is
+1 - (its complement in the span), else the window itself.  Each side is one
+saddle-point anchor at its mode-nearest count, extended by the ratio
+recurrence pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most 65,536
+terms, so memory does not grow with theta.  The drift is at most
+(terms on the shorter side) * 1e-16 plus the certified mass beyond the
+cuts; a window spanning both cuts is exactly 1.0 and sums nothing.
 
 Window endpoints are exact: each double is split into its integer ratio and
 n*(lam -+ w) is floored or ceiled by integer division, so a count landing
@@ -149,8 +153,8 @@ def poisson_cdf(theta: float, k: int) -> float:
 
     The window [0, k] goes through the coverage kernel: clipped to the
     Chernoff-certified cuts beyond which the neglected mass on either side
-    is below 1e-16, anchored at the in-window mode and extended by the
-    ratio recurrence, with the kernel's domain and term cap.
+    is below 1e-16 and summed by its shorter side, so a k above the mode
+    costs the upper tail beyond k.  The kernel's domain and term cap apply.
     """
     _check_theta(theta)
     if isinstance(k, bool) or k != int(k):
@@ -164,10 +168,11 @@ def poisson_cdf(theta: float, k: int) -> float:
 def exact_tail(theta: float, r: float, side: str) -> float:
     """Pr{K >= r} (side="geq") or Pr{K <= r} (side="leq"), non-strict.
 
-    Summed over the tail side only, anchored at the tail's end nearest the
-    mode, so deep tails keep full relative accuracy instead of cancelling
-    against 1.  Mass beyond the certified 1e-16 truncation point is dropped.
-    The coverage kernel's domain and term cap apply.
+    A tail that misses the mode is summed itself, anchored at its end
+    nearest the mode, so deep tails keep full relative accuracy instead of
+    cancelling against 1; a tail holding the mode and most of the span is
+    1 minus the opposite tail.  Mass beyond the certified 1e-16 truncation
+    point is dropped.  The coverage kernel's domain and term cap apply.
     """
     _check_theta(theta)
     if side == "geq":
@@ -188,18 +193,69 @@ def _ratio_sum(ratios: np.ndarray, carry: float) -> Tuple[float, float]:
     return float(prods.sum()), float(prods[-1])
 
 
-def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
-    """Sum of pmf over the integer window [k_lo, k_hi].
+def _anchored_sum(theta: float, lo: int, hi: int) -> float:
+    """Sum of pmf over [lo, hi] (0.0 when empty), anchored at the in-range mode.
 
-    The window is first clipped to the certified cuts.  A cut is searched
-    only when the window reaches its starting guess, because the search
-    only moves outward from there.  The sum is anchored at the in-window
-    mode and extended by the ratio recurrence
-    pmf(k+1) = pmf(k)*theta/(k+1): a scalar loop summed with math.fsum for
-    fewer than 64 terms (where numpy's per-call overhead exceeds the sum),
-    blocked cumulative products otherwise, so memory stays O(_BLOCK).  The
-    accumulated drift is bounded by (window width) * 1e-16 in absolute
-    terms, which the tests cross-check against the per-term fsum route.
+    The anchor is the count of [lo, hi] nearest int(theta), so a tail piece
+    is anchored at its end nearest the mode and the ratio recurrence
+    pmf(k+1) = pmf(k)*theta/(k+1) walks away from it over decaying terms: a
+    scalar loop summed with math.fsum for fewer than 64 terms (where numpy's
+    per-call overhead exceeds the sum), blocked cumulative products
+    otherwise, so memory stays O(_BLOCK).
+    """
+    if hi < lo:
+        return 0.0
+    k0 = min(max(int(theta), lo), hi)
+    p0 = poisson_pmf(theta, k0)
+    if p0 == 0.0:
+        return 0.0
+    if hi - lo < 64:
+        terms = [1.0]
+        p = 1.0
+        for k in range(k0 + 1, hi + 1):
+            p *= theta / k
+            terms.append(p)
+        p = 1.0
+        for k in range(k0, lo, -1):
+            p *= k / theta
+            terms.append(p)
+        return p0 * math.fsum(terms)
+    total = 1.0
+    carry = 1.0
+    for start in range(k0 + 1, hi + 1, _BLOCK):
+        stop = min(start + _BLOCK, hi + 1)
+        part, carry = _ratio_sum(theta / np.arange(start, stop, dtype=np.float64), carry)
+        total += part
+    carry = 1.0
+    for start in range(k0, lo, -_BLOCK):
+        stop = max(start - _BLOCK, lo)
+        part, carry = _ratio_sum(np.arange(start, stop, -1, dtype=np.float64) / theta, carry)
+        total += part
+    return p0 * total
+
+
+def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
+    """Sum of pmf over the integer window [k_lo, k_hi], by its shorter side.
+
+    The window is first clipped to the certified span [lc, uc], whose cuts
+    leave out less than 1e-16 of mass on each side.  A cut is searched only
+    when the window reaches its starting guess, because the search only
+    moves outward from there; the term cap applies to the clipped window.
+    When the clipped window [lo, hi] holds the mode and has more terms than
+    its complement in the span, the result is
+    1 - mass[lc, lo-1] - mass[hi+1, uc], exactly 1.0 when both pieces are
+    empty; otherwise the window itself is summed.  Both cuts are searched
+    only for a window holding over half the span of the guesses: the cuts
+    lie at or beyond their guesses, so, apart from a lower cut clamped at
+    0, a narrower window cannot be the longer side.  Each side goes through
+    _anchored_sum.
+
+    Both routes leave out the same certified mass beyond the cuts, and the
+    recurrence drifts by at most (terms summed) * 1e-16 in absolute terms,
+    where the terms summed are the shorter side's.  A window that holds the
+    mode and over half the span has mass near 1/2 or more, so the
+    complement route keeps the relative accuracy of the direct one.  The
+    tests cross-check both routes against the mpmath oracles.
     """
     if k_hi < k_lo:
         return 0.0
@@ -217,33 +273,11 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
             f"the exact window at theta={theta!r} has {hi - lo + 1} terms, "
             f"over the cap of {TERM_CAP}"
         )
-    k0 = min(max(int(theta), lo), hi)
-    p0 = poisson_pmf(theta, k0)
-    if p0 == 0.0:
-        return 0.0
-    if hi - lo < 64:
-        terms = [1.0]
-        p = 1.0
-        for k in range(k0 + 1, hi + 1):
-            p *= theta / k
-            terms.append(p)
-        p = 1.0
-        for k in range(k0, lo, -1):
-            p *= k / theta
-            terms.append(p)
-        return min(p0 * math.fsum(terms), 1.0)
-    total = 1.0
-    carry = 1.0
-    for start in range(k0 + 1, hi + 1, _BLOCK):
-        stop = min(start + _BLOCK, hi + 1)
-        part, carry = _ratio_sum(theta / np.arange(start, stop, dtype=np.float64), carry)
-        total += part
-    carry = 1.0
-    for start in range(k0, lo, -_BLOCK):
-        stop = max(start - _BLOCK, lo)
-        part, carry = _ratio_sum(np.arange(start, stop, -1, dtype=np.float64) / theta, carry)
-        total += part
-    return min(p0 * total, 1.0)
+    if 2 * (hi - lo + 1) > hi_guess - lo_guess and lo <= int(theta) <= hi:
+        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        if (lo - lc) + (uc - hi) < hi - lo + 1:
+            return 1.0 - _anchored_sum(theta, lc, lo - 1) - _anchored_sum(theta, hi + 1, uc)
+    return min(_anchored_sum(theta, lo, hi), 1.0)
 
 
 def _window_ratios(lam: float, budget: ErrorBudget) -> Tuple[int, int, int]:

@@ -32,10 +32,6 @@ from .budget import ErrorBudget
 from .errors import ParameterError, ResourceLimitError, check_positive_int
 from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
 
-# Relative snap width for the integer tie rule: a right-hand side this close
-# to an integer is treated as exactly that integer (and bumped by one).
-_TIE_REL = 1e-9
-
 
 @dataclass(frozen=True)
 class PlanResult:
@@ -65,21 +61,14 @@ def critical_exponent(budget: ErrorBudget) -> float:
     return budget.rel_boundary * _h(budget.epsilon_r)
 
 
-def _smallest_int_above(x: float, rel_tol: float = _TIE_REL) -> int:
-    """Smallest integer strictly greater than x, snapping near-integers up.
-
-    If x is within rel_tol (relative) of an integer m, it is treated as m
-    and m + 1 is returned, so ties resolve in the conservative direction
-    deterministically.
-    """
-    nearest = round(x)
-    if abs(x - nearest) <= rel_tol * max(1.0, abs(x)):
-        return int(nearest) + 1
-    return math.floor(x) + 1
-
-
 def formula_sample_size(budget: ErrorBudget) -> PlanResult:
-    """Sample size from the closed-form rule (smallest integer above the rhs).
+    """Sample size from the closed-form rule: the smallest integer above the rhs.
+
+    n is floor(rhs) + 1, so an rhs that is exactly an integer m gives
+    m + 1, and one more where ``is_sufficient`` rejects that count.  The
+    two round the same inequality differently and disagree only within a
+    few ulps of an integer, where the larger n is kept; one step suffices
+    below 2^52, and above it a double cannot tell n from n + 1.
 
     Raises ResourceLimitError when the right-hand side overflows a double,
     including when h(epsilon_r) underflows to 0 (epsilon_r below about
@@ -93,8 +82,11 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
             f"the closed-form n overflows for epsilon_a={budget.epsilon_a!r}, "
             f"epsilon_r={budget.epsilon_r!r} (h(epsilon_r) = {h!r}), delta={budget.delta!r}"
         )
+    n = math.floor(rhs) + 1
+    if not is_sufficient(n, budget):
+        n += 1
     return PlanResult(
-        n=_smallest_int_above(rhs),
+        n=n,
         rhs=rhs,
         critical_exponent=g_c,
         method="formula",
@@ -228,7 +220,8 @@ def normal_approx_sample_size(
     """Textbook baseline: n = ceil(z_{1-delta/2}^2 * lam / epsilon_a^2).
 
     Uses Var(mean) = lam/n under the Poisson model and an assumed true mean;
-    unlike the closed-form rule it carries no worst-case guarantee.
+    unlike the closed-form rule it carries no worst-case guarantee.  Raises
+    ResourceLimitError when the right-hand side overflows a double.
     """
     if not lambda_assumed > 0.0:
         raise ParameterError(
@@ -240,6 +233,11 @@ def normal_approx_sample_size(
         raise ParameterError("delta", f"delta must be in (0, 1), got {delta!r}")
     z = normal_quantile(1.0 - delta / 2.0)
     rhs = z * z * lambda_assumed / (epsilon_a * epsilon_a)
+    if not math.isfinite(rhs):
+        raise ResourceLimitError(
+            f"the normal-approximation n overflows for lambda_assumed={lambda_assumed!r}, "
+            f"epsilon_a={epsilon_a!r}, delta={delta!r}"
+        )
     return PlanResult(
         n=max(1, math.ceil(rhs)),
         rhs=rhs,

@@ -63,6 +63,15 @@ class TestSize:
         assert report["results"]["method"] == "normal_approx"
         assert report["results"]["critical_exponent"] is None
 
+    def test_normal_method_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "size", "--method", "normal", "--lambda", "1e308",
+            "--eps-a", "1e-10", "--eps-r", "0.1", "--delta", "0.05",
+        )
+        assert code == 2
+        assert "overflows" in err
+        assert out == ""
+
     def test_normal_requires_lambda(self, capsys):
         code, _, err = run_cli(
             capsys, "size", "--method", "normal",

@@ -1,5 +1,6 @@
 """Tests for the exact Poisson oracle: pmf, cdf, tails, and coverage."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -21,7 +22,14 @@ from poissonplan import (
     tail_bound_abs,
     tail_bound_rel,
 )
-from poissonplan.exact import TERM_CAP, THETA_MAX, _window_mass
+from poissonplan.exact import (
+    TERM_CAP,
+    THETA_MAX,
+    _anchored_sum,
+    _lower_cut,
+    _upper_cut,
+    _window_mass,
+)
 
 from _oracles import (
     cdf_gamma_ref,
@@ -419,3 +427,70 @@ class TestWindowMassInternals:
             with pytest.raises(ResourceLimitError, match="domain"):
                 _window_mass(theta, 0, 10)
         assert _window_mass(math.inf, 10, 9) == 0.0  # empty windows need no theta
+
+
+@functools.lru_cache(maxsize=None)
+def _switch_case(theta):
+    """(lc, uc, lo, hi, cdf(lo - 1), cdf(hi)) for the route-switch window at theta.
+
+    [lc, uc] is the certified span and [lo, hi] the narrowest window centred
+    in it whose complement in the span has fewer terms.  The two mpmath
+    values serve every test below, since gammainc takes seconds at 1e11.
+    """
+    lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+    span = uc - lc + 1
+    width = span // 2 + 1
+    lo = lc + (span - width) // 2
+    hi = lo + width - 1
+    return lc, uc, lo, hi, cdf_gamma_ref(theta, lo - 1), cdf_gamma_ref(theta, hi)
+
+
+class TestShorterSide:
+    """A window holding the mode and over half the certified span is 1 - its complement."""
+
+    THETAS = [1e3, 1e5, 1e7, 1e9, 1e11]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_window_spanning_both_cuts_is_exactly_one(self, theta):
+        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        assert _window_mass(theta, lc, uc) == 1.0
+        assert _window_mass(theta, 0, 2 * uc) == 1.0
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_window_crossing_one_cut(self, theta):
+        lc, uc, lo, hi, below, upto = _switch_case(theta)
+        # [0, hi] is clipped at the lower cut; its complement is [hi+1, uc].
+        assert _window_mass(theta, 0, hi) == pytest.approx(float(upto), abs=1e-14)
+        # [lo, 10 uc] is clipped at the upper cut; its complement is [lc, lo-1].
+        assert _window_mass(theta, lo, 10 * uc) == pytest.approx(1.0 - float(below), abs=1e-14)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_route_switch_and_one_term_either_side(self, theta):
+        lc, uc, lo, hi, below, upto = _switch_case(theta)
+        width = hi - lo + 1
+        assert (lo - lc) + (uc - hi) < width  # [lo, hi] is 1 - its complement ...
+        assert (lo - lc) + (uc - hi) + 1 >= width - 1  # ... and [lo, hi - 1] is summed
+        mass = upto - below
+        for k_hi, ref in [
+            (hi - 1, mass - pmf_ref(theta, hi)),
+            (hi, mass),
+            (hi + 1, mass + pmf_ref(theta, hi + 1)),
+        ]:
+            assert _window_mass(theta, lo, k_hi) == pytest.approx(float(ref), abs=1e-14)
+
+    @given(
+        log_theta=st.floats(min_value=2.0, max_value=8.0),
+        lo_frac=st.floats(min_value=-0.2, max_value=0.5),
+        hi_frac=st.floats(min_value=0.5, max_value=1.2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_chosen_route_matches_forced_direct_sum(self, log_theta, lo_frac, hi_frac):
+        theta = 10.0**log_theta
+        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        span = uc - lc + 1
+        k_lo = max(0, lc + math.floor(lo_frac * span))
+        k_hi = lc + math.floor(hi_frac * span)
+        direct = min(_anchored_sum(theta, max(k_lo, lc), min(k_hi, uc)), 1.0)
+        got = _window_mass(theta, k_lo, k_hi)
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(direct, abs=1e-13)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonplan import (
@@ -24,7 +24,6 @@ from poissonplan import (
     normal_quantile,
     scan_coverage,
 )
-from poissonplan.plan import _smallest_int_above
 
 from _oracles import normal_quantile_ref
 
@@ -117,19 +116,30 @@ class TestFormulaSampleSize:
             assert res.n - 1 <= res.rhs
 
     def test_tie_rule(self):
-        assert _smallest_int_above(761.976) == 762
-        assert _smallest_int_above(762.0) == 763          # exact integer snaps up
-        assert _smallest_int_above(762.0 + 1e-7) == 763   # within 1e-9 relative
-        assert _smallest_int_above(762.0 - 1e-7) == 763   # within 1e-9 relative
-        assert _smallest_int_above(762.1) == 763
-        assert _smallest_int_above(761.99999) == 762      # outside the snap zone
-        assert _smallest_int_above(0.5) == 1
-        assert _smallest_int_above(1e-12) == 1            # snaps to 0, returns 1
+        # rhs = 8,921,827.996: a snap to the nearest integer within 1e-9
+        # relative gave 8,921,829, while the threshold accepts 8,921,828.
+        budget = ErrorBudget(0.001, 0.001, 0.023137963025333694)
+        res = formula_sample_size(budget)
+        assert math.floor(res.rhs) == 8_921_827
+        assert res.n == 8_921_828
+        assert is_sufficient(res.n, budget)
+        assert not is_sufficient(res.n - 1, budget)
+
+    @pytest.mark.parametrize("eps_a", [1e-300, 1e-100, 1e-20])
+    def test_tie_rule_past_2_53(self, eps_a):
+        # Consecutive counts share a double here, so the threshold cannot
+        # separate them; the rule still returns an n above the rhs.
+        res = formula_sample_size(ErrorBudget(eps_a, 0.5, 0.05))
+        assert res.n > res.rhs
+        assert res.n - math.floor(res.rhs) in (1, 2)
 
     def test_tie_rule_is_monotone(self):
-        xs = [761.0, 761.5, 762.0 - 1e-7, 762.0, 762.0 + 1e-7, 762.5, 763.2]
-        ns = [_smallest_int_above(x) for x in xs]
-        assert ns == sorted(ns)
+        # delta sweeps the rhs across the integer 8,921,828.
+        d0 = 0.023137963025333694
+        deltas = sorted(d0 * (1.0 + j * 1e-10) for j in range(-50, 51))
+        ns = [formula_sample_size(ErrorBudget(0.001, 0.001, d)).n for d in deltas]
+        assert ns == sorted(ns, reverse=True)
+        assert set(ns) == {8_921_828, 8_921_829}
 
 
 class TestCriticalExponent:
@@ -394,6 +404,7 @@ class TestNormalQuantile:
     d=st.floats(min_value=1e-4, max_value=0.5),
 )
 @settings(max_examples=80, deadline=None)
+@example(0.001, 0.001, 0.023137963025333694)
 def test_formula_and_threshold_agree_property(ea, er, d):
     budget = ErrorBudget(ea, er, d)
     res = formula_sample_size(budget)
