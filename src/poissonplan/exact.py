@@ -240,7 +240,9 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
     The window is first clipped to the certified span [lc, uc], whose cuts
     leave out less than 1e-16 of mass on each side.  A cut is searched only
     when the window reaches its starting guess, because the search only
-    moves outward from there; the term cap applies to the clipped window.
+    moves outward from there, and at most once per call: the complement
+    route reuses a cut the clip found.  The term cap applies to the clipped
+    window.
     When the clipped window [lo, hi] holds the mode and has more terms than
     its complement in the span, the result is
     1 - mass[lc, lo-1] - mass[hi+1, uc], exactly 1.0 when both pieces are
@@ -264,8 +266,17 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
             f"theta={theta!r} is outside the exact kernel's domain theta <= 2^53"
         )
     lo_guess, hi_guess = _cut_guesses(theta)
-    lo = k_lo if k_lo > 0 and k_lo > lo_guess else max(k_lo, _lower_cut(theta) + 1)
-    hi = k_hi if k_hi <= hi_guess else min(k_hi, _upper_cut(theta))
+    lc = uc = None  # the certified span's ends, once searched
+    if k_lo > 0 and k_lo > lo_guess:
+        lo = k_lo
+    else:
+        lc = _lower_cut(theta) + 1
+        lo = max(k_lo, lc)
+    if k_hi <= hi_guess:
+        hi = k_hi
+    else:
+        uc = _upper_cut(theta)
+        hi = min(k_hi, uc)
     if hi < lo:
         return 0.0  # window lies entirely in certified-negligible tails
     if hi - lo >= TERM_CAP:
@@ -274,7 +285,10 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
             f"over the cap of {TERM_CAP}"
         )
     if 2 * (hi - lo + 1) > hi_guess - lo_guess and lo <= int(theta) <= hi:
-        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        if lc is None:
+            lc = _lower_cut(theta) + 1
+        if uc is None:
+            uc = _upper_cut(theta)
         if (lo - lc) + (uc - hi) < hi - lo + 1:
             return 1.0 - _anchored_sum(theta, lc, lo - 1) - _anchored_sum(theta, hi + 1, uc)
     return min(_anchored_sum(theta, lo, hi), 1.0)

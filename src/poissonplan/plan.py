@@ -13,9 +13,11 @@ g_c = g(epsilon_a, epsilon_a/epsilon_r) is the critical exponent at the
 boundary between the absolute- and relative-tolerance regimes.
 
 The closed form is conservative; ``min_sample_size_exact`` searches for the
-smallest n whose *exact* coverage clears 1 - delta on an explicit grid of
-means, and ``normal_approx_sample_size`` provides the textbook
-normal-approximation baseline for comparison.
+smallest n whose *exact* coverage clears 1 - delta at every mean of an
+explicit grid.  It scans n upward from 1, trying the means nearest the
+regime boundary first, so a failing n usually costs one window evaluation;
+SEARCH_CAP bounds the scan.  ``normal_approx_sample_size`` provides the
+textbook normal-approximation baseline for comparison.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from .bounds import _h
 from .budget import ErrorBudget
 from .errors import ParameterError, ResourceLimitError, check_positive_int
 from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
+
+# Largest n the exact search tries.  The scan spends at least one window
+# evaluation on every n below its answer, and the closed-form n grows like
+# 1/epsilon_a, so without a cap a tiny epsilon_a runs for hours; past it the
+# search raises ResourceLimitError.
+SEARCH_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -158,13 +166,20 @@ def min_sample_size_exact(
     """Smallest n whose exact coverage reaches 1 - delta at every grid mean.
 
     Coverage oscillates with n (the feasible set can have holes just above
-    its lower edge), so after establishing a feasible upper bound from
-    ``n_hint`` (default: the closed-form n) the search scans n upward from 1
-    and returns the first fully feasible value; every smaller n is thereby
-    verified infeasible.  Infeasible n are cheap to reject because the most
-    recently failing grid means are re-checked first.  The result is a
-    statement about the supplied grid only - means outside it are not
-    checked.
+    its lower edge), so the search scans n upward from 1 and returns the
+    first fully feasible value; every smaller n is thereby verified
+    infeasible.  An n is rejected at its first failing mean, so the means
+    are tried nearest the regime boundary epsilon_a/epsilon_r first, by
+    log distance (the mixed criterion binds there), and each mean that
+    fails moves to the front.  The order changes only the cost.
+
+    The scan checks ``n_hint`` only when it reaches it, like any other n,
+    so a hint changes neither the answer nor the cost; it is validated and
+    otherwise unused.  The closed-form n meets the guarantee at every mean,
+    so the scan stops at or below it without evaluating its wide windows.
+    Raises ResourceLimitError once the scan would try an n above
+    SEARCH_CAP.  The result is a statement about the supplied grid only -
+    means outside it are not checked.
     """
     lams = tuple(default_lambda_grid(budget) if grid is None else grid)
     if not lams:
@@ -172,10 +187,13 @@ def min_sample_size_exact(
     for lam in lams:
         if not 0.0 < lam < math.inf:
             raise ParameterError("grid", f"grid means must be finite and > 0, got {lam!r}")
+    if n_hint is not None:
+        check_positive_int(n_hint, "n_hint")
     ratios = [_window_ratios(lam, budget) for lam in lams]
 
     target = 1.0 - budget.delta
-    order = list(range(len(lams)))
+    log_boundary = math.log(budget.rel_boundary)
+    order = sorted(range(len(lams)), key=lambda i: abs(math.log(lams[i]) - log_boundary))
 
     def ok(n: int) -> bool:
         for pos, idx in enumerate(order):
@@ -186,25 +204,15 @@ def min_sample_size_exact(
         return True
 
     base = formula_sample_size(budget)
-    hint = base.n if n_hint is None else check_positive_int(n_hint, "n_hint")
-
-    if ok(hint):
-        hi = hint
-    else:
-        step = 1
-        while True:
-            cand = hint + step
-            if ok(cand):
-                hi = cand
-                break
-            step *= 2
-            if cand > 2**40:
-                raise ParameterError("grid", "no feasible sample size found below 2^40")
-
-    for n in range(1, hi):
-        if ok(n):
-            return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")
-    return PlanResult(hi, base.rhs, base.critical_exponent, "exact_search")
+    n = 1
+    while not ok(n):
+        n += 1
+        if n > SEARCH_CAP:
+            raise ResourceLimitError(
+                f"the exact search found no feasible n up to SEARCH_CAP = {SEARCH_CAP}; "
+                f"the closed-form n is about {base.rhs:.3g}"
+            )
+    return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")
 
 
 def normal_quantile(p: float) -> float:

@@ -1,9 +1,9 @@
 """High-precision reference implementations, independent of the package.
 
-Everything here except ``mass_exactish`` is computed with mpmath at 60
-significant digits, taking the *exact* rational value of each binary double
-input, so disagreements with the package are genuine implementation error
-rather than input rounding.
+Everything here except ``mass_exactish`` and ``min_n_grid_ref`` is
+computed with mpmath at 60 significant digits, taking the *exact* rational
+value of each binary double input, so disagreements with the package are
+genuine implementation error rather than input rounding.
 """
 
 import math
@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from poissonplan import poisson_pmf
+from poissonplan import exact_coverage, poisson_pmf
 
 mp.dps = 60
 
@@ -68,6 +68,19 @@ def mass_exactish(theta, lo, hi):
     if hi < lo:
         return 0.0
     return math.fsum(poisson_pmf(theta, i) for i in range(lo, hi + 1))
+
+
+def min_n_grid_ref(budget, grid):
+    """First n whose exact_coverage clears 1 - delta at every grid mean.
+
+    Brute force: every n from 1 upward, every mean in grid order, through
+    the package's public exact_coverage.  The reference for the exact
+    search's evaluation order, move-to-front and hint handling.
+    """
+    n = 1
+    while not all(exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta for lam in grid):
+        n += 1
+    return n
 
 
 def tail_ref(theta, r, side):

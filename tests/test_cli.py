@@ -72,6 +72,16 @@ class TestSize:
         assert "overflows" in err
         assert out == ""
 
+    def test_exact_search_past_cap_exits_2(self, capsys):
+        # The closed-form n is about 7.6e301; the scan stops at SEARCH_CAP.
+        code, out, err = run_cli(
+            capsys, "size", "--method", "exact",
+            "--eps-a", "1e-300", "--eps-r", "0.1", "--delta", "0.05",
+        )
+        assert code == 2
+        assert out == ""
+        assert "SEARCH_CAP = 1048576" in err
+
     def test_normal_requires_lambda(self, capsys):
         code, _, err = run_cli(
             capsys, "size", "--method", "normal",

@@ -22,6 +22,7 @@ from poissonplan import (
     tail_bound_abs,
     tail_bound_rel,
 )
+from poissonplan import exact as exact_module
 from poissonplan.exact import (
     TERM_CAP,
     THETA_MAX,
@@ -477,6 +478,21 @@ class TestShorterSide:
             (hi + 1, mass + pmf_ref(theta, hi + 1)),
         ]:
             assert _window_mass(theta, lo, k_hi) == pytest.approx(float(ref), abs=1e-14)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_each_cut_searched_at_most_once(self, theta, monkeypatch):
+        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        calls = []
+        for name, fn in [("_lower_cut", _lower_cut), ("_upper_cut", _upper_cut)]:
+            monkeypatch.setattr(
+                exact_module, name, lambda t, name=name, fn=fn: calls.append(name) or fn(t)
+            )
+        # Wide windows whose clip searches one or both cuts and that then
+        # take the complement route, which needs both.
+        for k_lo, k_hi in [(0, 2 * uc), (lc + 1, 2 * uc), (0, uc - 1)]:
+            calls.clear()
+            assert _window_mass(theta, k_lo, k_hi) > 0.5
+            assert sorted(calls) == ["_lower_cut", "_upper_cut"]
 
     @given(
         log_theta=st.floats(min_value=2.0, max_value=8.0),

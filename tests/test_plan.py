@@ -24,8 +24,9 @@ from poissonplan import (
     normal_quantile,
     scan_coverage,
 )
+from poissonplan import plan
 
-from _oracles import normal_quantile_ref
+from _oracles import min_n_grid_ref, normal_quantile_ref
 
 RHS_A = 761.97660540300205   # eps_a = eps_r = 0.1, delta = 0.05
 RHS_B = 380.98830270150103   # eps_a = 0.2, eps_r = 0.1, delta = 0.05
@@ -338,6 +339,33 @@ class TestMinSampleSizeExact:
         budget = ErrorBudget(0.1, 0.1, 0.05)
         for hint in (10, 381, 500, 762):
             assert min_sample_size_exact(budget, n_hint=hint).n == EXACT_MIN_N_CANONICAL
+
+    def test_search_cap(self, monkeypatch):
+        budget = ErrorBudget(0.1, 0.1, 0.05)
+        monkeypatch.setattr(plan, "SEARCH_CAP", EXACT_MIN_N_CANONICAL)
+        assert min_sample_size_exact(budget).n == EXACT_MIN_N_CANONICAL
+        monkeypatch.setattr(plan, "SEARCH_CAP", EXACT_MIN_N_CANONICAL - 1)
+        with pytest.raises(ResourceLimitError, match=f"SEARCH_CAP = {EXACT_MIN_N_CANONICAL - 1}"):
+            min_sample_size_exact(budget)
+
+    @given(
+        ea=st.floats(min_value=0.05, max_value=0.3),
+        er=st.floats(min_value=0.05, max_value=0.3),
+        d=st.floats(min_value=0.02, max_value=0.2),
+        octaves=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_in_any_order(self, ea, er, d, octaves, data):
+        # Means within 3 octaves of the regime boundary: answers of about 10 to 1000.
+        budget = ErrorBudget(ea, er, d)
+        grid = [budget.rel_boundary * 2.0**u for u in octaves]
+        n_ref = min_n_grid_ref(budget, grid)
+        assert min_sample_size_exact(budget, grid=grid).n == n_ref
+        shuffled = data.draw(st.permutations(grid))
+        assert min_sample_size_exact(budget, grid=shuffled).n == n_ref
+        for hint in (max(1, n_ref - 1), n_ref, n_ref + 7):
+            assert min_sample_size_exact(budget, grid=grid, n_hint=hint).n == n_ref
 
     def test_grid_validation(self):
         budget = ErrorBudget(0.1, 0.1, 0.05)
