@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParameterError, check_positive_int
+from .errors import ParameterError, check_positive_int, check_positive_real, check_unit_interval
 
 _SIDES = ("lower", "upper")
 
@@ -47,37 +47,42 @@ def _h(u: float) -> float:
 def g_exponent(epsilon: float, lam: float) -> float:
     """The exponent g(epsilon, lam) = epsilon + (lam+epsilon)*ln(lam/(lam+epsilon)).
 
-    Requires lam > 0 and lam + epsilon > 0 (argument of the logarithm).
+    Requires a finite lam > 0 and a finite epsilon with lam + epsilon > 0
+    (argument of the logarithm).  Past epsilon/lam = 1e300 the value is
+    chernoff_log_bound(lam, lam + epsilon), the same exponent in direct form.
     """
-    if not lam > 0.0:
-        raise ParameterError("lam", f"lam must be > 0, got {lam!r}")
-    if not lam + epsilon > 0.0:
+    check_positive_real(lam, "lam")
+    if not (math.isfinite(epsilon) and lam + epsilon > 0.0):
         raise ParameterError(
-            "epsilon", f"lam + epsilon must be > 0, got lam={lam!r} epsilon={epsilon!r}"
+            "epsilon",
+            f"epsilon must be finite with lam + epsilon > 0, got lam={lam!r} epsilon={epsilon!r}",
         )
-    return lam * _h(epsilon / lam)
+    u = epsilon / lam
+    if u > 1e300:
+        return chernoff_log_bound(lam, lam + epsilon)
+    return lam * _h(u)
 
 
 def chernoff_log_bound(theta: float, r: float) -> float:
     """log of e^{-theta} (theta*e/r)^r = -theta + r - r*ln(r/theta).
 
-    Defined for r >= 0; the r = 0 value is the continuous limit -theta.
+    Defined for finite r >= 0; the r = 0 value is the continuous limit -theta.
     No tail-side precondition is checked here: the value only *bounds* a
     tail probability on the sides enforced by the public functions.
 
     Evaluated as theta*h((r-theta)/theta), which keeps full accuracy for r
-    near theta, except where that ratio overflows or rounds to -1 (r/theta
-    beyond the double range either way); there the direct form
-    r - theta - r*(ln r - ln theta) stays finite.
+    near theta, except where that ratio passes 1e300 (h's product would
+    overflow while the bound is finite) or rounds to -1 (r/theta below the
+    double range); there the direct form r - theta - r*(ln r - ln theta)
+    stays finite.
     """
-    if not theta > 0.0:
-        raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
-    if not r >= 0.0:
-        raise ParameterError("r", f"r must be >= 0, got {r!r}")
+    check_positive_real(theta, "theta")
+    if not 0.0 <= r < math.inf:
+        raise ParameterError("r", f"r must be finite and >= 0, got {r!r}")
     if r == 0.0:
         return -theta
     u = (r - theta) / theta
-    if math.isinf(u) or u == -1.0:
+    if not -1.0 < u <= 1e300:
         return r - theta - r * (math.log(r) - math.log(theta))
     return theta * _h(u)
 
@@ -89,13 +94,12 @@ def chernoff_upper_tail(theta: float, r: float) -> float:
     double precision the result rounds to exactly 1.0 once the exponent
     drops below resolution.
     """
-    if not theta > 0.0:
-        raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
+    log_bound = chernoff_log_bound(theta, r)  # checks theta, then r, before the side
     if not r > theta:
         raise ParameterError(
             "r", f"upper-tail bound requires r > theta, got r={r!r} theta={theta!r}"
         )
-    return math.exp(chernoff_log_bound(theta, r))
+    return math.exp(log_bound)
 
 
 def chernoff_lower_tail(theta: float, r: float) -> float:
@@ -104,35 +108,33 @@ def chernoff_lower_tail(theta: float, r: float) -> float:
     r = 0 returns e^{-theta}, the continuous limit of the bound, which is
     also exactly Pr{K = 0}.
     """
-    if not theta > 0.0:
-        raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
-    if not 0.0 <= r < theta:
+    log_bound = chernoff_log_bound(theta, r)  # checks theta, then r, before the side
+    if not r < theta:
         raise ParameterError(
             "r", f"lower-tail bound requires 0 <= r < theta, got r={r!r} theta={theta!r}"
         )
-    return math.exp(chernoff_log_bound(theta, r))
+    return math.exp(log_bound)
 
 
 def tail_bound_abs(n: int, lam: float, epsilon: float, side: str) -> float:
     """Bound on an absolute deviation of the empirical mean of n samples.
 
     side="lower": Pr{mean <= lam - epsilon} <= exp(n * g(-epsilon, lam)),
-                  requires lam > epsilon > 0.
-    side="upper": Pr{mean >= lam + epsilon} <= exp(n * g(epsilon, lam)),
-                  requires epsilon > 0.
+                  requires lam > epsilon.
+    side="upper": Pr{mean >= lam + epsilon} <= exp(n * g(epsilon, lam)).
+    lam and epsilon are finite and > 0.
     """
     check_positive_int(n, "n")
+    check_positive_real(lam, "lam")
+    check_positive_real(epsilon, "epsilon")
     if side not in _SIDES:
         raise ParameterError("side", f"side must be one of {_SIDES}, got {side!r}")
     if side == "lower":
-        if not (lam > epsilon > 0.0):
+        if not lam > epsilon:
             raise ParameterError(
-                "epsilon",
-                f"lower bound requires lam > epsilon > 0, got lam={lam!r} epsilon={epsilon!r}",
+                "epsilon", f"lower bound needs lam > epsilon, got lam={lam!r} epsilon={epsilon!r}"
             )
         return math.exp(n * g_exponent(-epsilon, lam))
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon", f"epsilon must be > 0, got {epsilon!r}")
     return math.exp(n * g_exponent(epsilon, lam))
 
 
@@ -142,25 +144,19 @@ def tail_bound_rel(n: int, lam: float, epsilon: float, side: str) -> float:
     side="lower": Pr{mean <= lam*(1-epsilon)} <= exp(n*lam*(-eps - (1-eps)ln(1-eps))),
                   requires 0 < epsilon < 1.
     side="upper": Pr{mean >= lam*(1+epsilon)} <= exp(n*lam*(eps - (1+eps)ln(1+eps))),
-                  requires epsilon > 0.
+                  requires a finite epsilon > 0.
 
     Both exponents are g(+-epsilon*lam, lam) = lam * h(+-epsilon): linear in
-    lam with a strictly negative coefficient.
+    lam with a strictly negative coefficient.  The product is formed as
+    n * (lam * h), so an h that underflows to -0 gives 1.0, not nan.
     """
     check_positive_int(n, "n")
-    if not lam > 0.0:
-        raise ParameterError("lam", f"lam must be > 0, got {lam!r}")
+    check_positive_real(lam, "lam")
     if side not in _SIDES:
         raise ParameterError("side", f"side must be one of {_SIDES}, got {side!r}")
     if side == "lower":
-        if not 0.0 < epsilon < 1.0:
-            raise ParameterError(
-                "epsilon", f"lower bound requires 0 < epsilon < 1, got {epsilon!r}"
-            )
-        return math.exp(n * lam * _h(-epsilon))
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon", f"epsilon must be > 0, got {epsilon!r}")
-    return math.exp(n * lam * _h(epsilon))
+        return math.exp(n * (lam * _h(-check_unit_interval(epsilon, "epsilon"))))
+    return math.exp(n * (lam * _h(check_positive_real(epsilon, "epsilon"))))
 
 
 @dataclass(frozen=True)

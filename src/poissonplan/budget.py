@@ -10,11 +10,10 @@ giving four regimes (labelled I-IV below).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParameterError
+from .errors import check_positive_real, check_unit_interval
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,9 @@ class ErrorBudget:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon_a < math.inf:
-            raise ParameterError(
-                "epsilon_a", f"epsilon_a must be finite and > 0, got {self.epsilon_a!r}"
-            )
-        if not 0.0 < self.epsilon_r < 1.0:
-            raise ParameterError(
-                "epsilon_r", f"epsilon_r must be in (0, 1), got {self.epsilon_r!r}"
-            )
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError(
-                "delta", f"delta must be in (0, 1), got {self.delta!r}"
-            )
+        check_positive_real(self.epsilon_a, "epsilon_a")
+        check_unit_interval(self.epsilon_r, "epsilon_r")
+        check_unit_interval(self.delta, "delta")
 
     @property
     def rel_boundary(self) -> float:
@@ -73,8 +63,7 @@ def case_of(lam: float, budget: ErrorBudget) -> CaseLabel:
 
     The boundary ``lam == epsilon_a/epsilon_r`` belongs to case III.
     """
-    if not lam > 0.0:
-        raise ParameterError("lam", f"lam must be > 0, got {lam!r}")
+    check_positive_real(lam, "lam")
     if lam < budget.epsilon_a:
         return CaseLabel.I
     if lam == budget.epsilon_a:

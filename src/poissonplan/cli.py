@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .bounds import TailBoundReport, chernoff_log_bound
 from .budget import ErrorBudget
-from .errors import ParameterError, ResourceLimitError, check_positive_int
+from .errors import ParameterError, ResourceLimitError
 from .exact import exact_coverage, exact_tail
 from .plan import (
     formula_sample_size,
@@ -40,7 +40,6 @@ _FLAG_OF = {
     "lam_max": "--lambda-max",
     "points": "--grid-points",
     "n": "--n",
-    "n_hint": "--n",
     "trials": "--mc-trials",
     "seed": "--seed",
     "theta": "--theta",
@@ -150,19 +149,16 @@ def _cmd_size(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     budget = _budget_from(args)
-    n = check_positive_int(args.n, "n")
-    if args.lam is None or not args.lam > 0.0:
-        raise ParameterError("lam", f"--lambda must be > 0, got {args.lam!r}")
     inputs = {
         "eps_a": args.eps_a,
         "eps_r": args.eps_r,
         "delta": args.delta,
-        "n": n,
+        "n": args.n,
         "lambda": args.lam,
         "mc_trials": args.mc_trials,
         "seed": args.seed,
     }
-    point = exact_coverage(n, args.lam, budget)
+    point = exact_coverage(args.n, args.lam, budget)
     threshold = 1.0 - budget.delta
     results = {
         "coverage": point.coverage,
@@ -174,9 +170,8 @@ def _cmd_verify(args) -> dict:
         "pass": point.coverage >= threshold,
     }
     if args.mc_trials is not None:
-        trials = check_positive_int(args.mc_trials, "trials")
         sim = simulate_coverage(
-            SimConfig(trials=trials, seed=args.seed, n=n, lam=args.lam, budget=budget)
+            SimConfig(trials=args.mc_trials, seed=args.seed, n=args.n, lam=args.lam, budget=budget)
         )
         results["mc"] = {
             "trials": sim.trials,
@@ -191,11 +186,9 @@ def _cmd_verify(args) -> dict:
 def _cmd_scan(args) -> dict:
     budget = _budget_from(args)
     n = args.n if args.n is not None else formula_sample_size(budget).n
-    n = check_positive_int(n, "n")
     lam_min = args.lam_min if args.lam_min is not None else budget.epsilon_a / 100.0
     lam_max = args.lam_max if args.lam_max is not None else 100.0 * budget.rel_boundary
-    points = check_positive_int(args.grid_points, "points")
-    grid = lambda_grid(budget, lam_min, lam_max, points)
+    grid = lambda_grid(budget, lam_min, lam_max, args.grid_points)
     coverage_points = scan_coverage(n, budget, grid)
     threshold = 1.0 - budget.delta
     rows = [
@@ -217,7 +210,7 @@ def _cmd_scan(args) -> dict:
         "n": n,
         "lambda_min": lam_min,
         "lambda_max": lam_max,
-        "grid_points": points,
+        "grid_points": args.grid_points,
         "out": args.out,
     }
     results = {
@@ -256,10 +249,7 @@ def _write_scan_csv(path: str, rows: list) -> None:
 
 def _cmd_bound(args) -> dict:
     theta, r, side = args.theta, args.r, args.side
-    if not 0.0 < theta < math.inf:
-        raise ParameterError("theta", f"--theta must be finite and > 0, got {theta!r}")
-    if not 0.0 <= r < math.inf:
-        raise ParameterError("r", f"--r must be finite and >= 0, got {r!r}")
+    log_bound = chernoff_log_bound(theta, r)  # checks theta, then r, before the side
     ok = r > theta if side == "upper" else r < theta
     warnings = []
     if not ok:
@@ -274,7 +264,7 @@ def _cmd_bound(args) -> dict:
             f"precondition violated for side={side}: the value is the raw formula, "
             "not a guaranteed bound on the tail"
         )
-    bound = math.exp(chernoff_log_bound(theta, r))
+    bound = math.exp(log_bound)
     exact = exact_tail(theta, r, "geq" if side == "upper" else "leq") if args.exact else None
     report = TailBoundReport(bound=bound, side=side, exact=exact)
     inputs = {

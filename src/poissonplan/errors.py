@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types and the input contract shared across the package.
+
+Every public function answers correctly or raises ParameterError naming the
+rejected argument (ResourceLimitError for a valid request past a cap).  Each
+input is checked once, where the library takes it: by check_positive_int,
+check_positive_real (finite and > 0; no function answers at inf) or
+check_unit_interval (inside (0, 1)), then by any relational condition such
+as lam > epsilon inline.  The command line maps ``param`` to its flag.
+"""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -18,10 +28,21 @@ class ResourceLimitError(RuntimeError):
 
 
 def check_positive_int(value, name: str) -> int:
-    """Return ``value`` if it is an int >= 1 (bools excluded), else raise.
-
-    The ParameterError names ``name`` so front ends can map it to a flag.
-    """
+    """Return ``value`` if it is an int >= 1, not a bool; else raise ParameterError for ``name``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ParameterError(name, f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def check_positive_real(value, name: str):
+    """Return ``value`` if it is finite and > 0; else raise ParameterError for ``name``."""
+    if not 0.0 < value < math.inf:
+        raise ParameterError(name, f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def check_unit_interval(value, name: str):
+    """Return ``value`` if it lies inside (0, 1); else raise ParameterError for ``name``."""
+    if not 0.0 < value < 1.0:
+        raise ParameterError(name, f"{name} must be in (0, 1), got {value!r}")
     return value

@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import chernoff_log_bound
 from .budget import CaseLabel, ErrorBudget, case_of
-from .errors import ParameterError, ResourceLimitError, check_positive_int
+from .errors import ParameterError, ResourceLimitError, check_positive_int, check_positive_real
 
 _LN_SQRT_2PI = 0.9189385332046727
 _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
@@ -97,25 +97,19 @@ def _bd0(x: float, mean: float) -> float:
     return x * math.log(x / mean) + mean - x
 
 
-def _check_theta(theta: float) -> float:
-    if not theta > 0.0:
-        raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
-    return theta
-
-
 def _check_count(k) -> int:
-    if isinstance(k, bool) or k != int(k):
+    """int(k) for a finite integral k that is not a bool; else a ParameterError naming k."""
+    if isinstance(k, bool) or not (isinstance(k, int) or math.isfinite(k) and k == int(k)):
         raise ParameterError("k", f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise ParameterError("k", f"k must be >= 0, got {k!r}")
-    return k
+    return int(k)
 
 
 def poisson_pmf(theta: float, k: int) -> float:
-    """Pr{K = k} for K ~ Poisson(theta)."""
-    _check_theta(theta)
+    """Pr{K = k} for K ~ Poisson(theta), k >= 0."""
+    check_positive_real(theta, "theta")
     k = _check_count(k)
+    if k < 0:
+        raise ParameterError("k", f"k must be >= 0, got {k!r}")
     if k == 0:
         return math.exp(-theta)
     exponent = -_stirlerr(k) - _bd0(float(k), theta)
@@ -156,10 +150,8 @@ def poisson_cdf(theta: float, k: int) -> float:
     is below 1e-16 and summed by its shorter side, so a k above the mode
     costs the upper tail beyond k.  The kernel's domain and term cap apply.
     """
-    _check_theta(theta)
-    if isinstance(k, bool) or k != int(k):
-        raise ParameterError("k", f"k must be an integer, got {k!r}")
-    k = int(k)
+    check_positive_real(theta, "theta")
+    k = _check_count(k)
     if k < 0:
         return 0.0
     return _window_mass(theta, 0, k)
@@ -172,9 +164,12 @@ def exact_tail(theta: float, r: float, side: str) -> float:
     nearest the mode, so deep tails keep full relative accuracy instead of
     cancelling against 1; a tail holding the mode and most of the span is
     1 minus the opposite tail.  Mass beyond the certified 1e-16 truncation
-    point is dropped.  The coverage kernel's domain and term cap apply.
+    point is dropped.  r must be finite.  The coverage kernel's domain and
+    term cap apply.
     """
-    _check_theta(theta)
+    check_positive_real(theta, "theta")
+    if not math.isfinite(r):
+        raise ParameterError("r", f"r must be finite, got {r!r}")
     if side == "geq":
         lo = max(0, math.ceil(r))
         return _window_mass(theta, lo, max(lo, _upper_cut(theta)))
@@ -294,6 +289,14 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
     return min(_anchored_sum(theta, lo, hi), 1.0)
 
 
+def _mean(n: int, lam: float) -> float:
+    """n*lam, or inf where the product overflows (n past the double range)."""
+    try:
+        return n * lam
+    except OverflowError:
+        return math.inf
+
+
 def _window_ratios(lam: float, budget: ErrorBudget) -> Tuple[int, int, int]:
     """Integers (lo, hi, den) with lam - w = lo/den and lam + w = hi/den exactly.
 
@@ -326,8 +329,7 @@ def coverage_window(n: int, lam: float, budget: ErrorBudget) -> Tuple[int, int]:
     excluded.
     """
     check_positive_int(n, "n")
-    if not lam > 0.0 or math.isinf(lam):
-        raise ParameterError("lam", f"lam must be a positive finite real, got {lam!r}")
+    check_positive_real(lam, "lam")
     return _window_at(n, _window_ratios(lam, budget))
 
 
@@ -349,9 +351,10 @@ def exact_coverage(n: int, lam: float, budget: ErrorBudget) -> CoveragePoint:
     The union of the two strict events is the single window of half-width
     max(epsilon_a, epsilon_r*lam); the probability is the pmf mass over the
     integer window from coverage_window, i.e. cdf(k_max) - cdf(k_min - 1).
+    A mean n*lam past the double range raises the kernel's ResourceLimitError.
     """
     k_min, k_max = coverage_window(n, lam, budget)
-    coverage = _window_mass(n * lam, k_min, k_max)
+    coverage = _window_mass(_mean(n, lam), k_min, k_max)
     return CoveragePoint(
         lam=lam,
         n=n,

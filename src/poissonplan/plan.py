@@ -31,7 +31,13 @@ import numpy as np
 
 from .bounds import _h
 from .budget import ErrorBudget
-from .errors import ParameterError, ResourceLimitError, check_positive_int
+from .errors import (
+    ParameterError,
+    ResourceLimitError,
+    check_positive_int,
+    check_positive_real,
+    check_unit_interval,
+)
 from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
 
 # Largest n the exact search tries.  The scan spends at least one window
@@ -39,6 +45,9 @@ from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exac
 # 1/epsilon_a, so without a cap a tiny epsilon_a runs for hours; past it the
 # search raises ResourceLimitError.
 SEARCH_CAP = 2**20
+# Most log-spaced points lambda_grid builds; more raise ResourceLimitError
+# before any allocation (each point costs 8 bytes and one exact evaluation).
+GRID_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -122,15 +131,14 @@ def lambda_grid(
     The boundaries epsilon_a and epsilon_a/epsilon_r (and each perturbed by
     +-1e-6 relative) are added when they fall inside the range, so a scan
     always exercises the regime switches exactly and just off-exactly.
+    More than GRID_CAP points raise ResourceLimitError.
     """
-    if not lam_max < math.inf:
-        raise ParameterError("lam_max", f"lam_max must be finite, got {lam_max!r}")
-    if not 0.0 < lam_min <= lam_max:
-        raise ParameterError(
-            "lam_min", f"need 0 < lam_min <= lam_max, got {lam_min!r}, {lam_max!r}"
-        )
-    if points < 1:
-        raise ParameterError("points", f"points must be >= 1, got {points!r}")
+    check_positive_real(lam_max, "lam_max")
+    check_positive_real(lam_min, "lam_min")
+    if not lam_min <= lam_max:
+        raise ParameterError("lam_min", f"need lam_min <= lam_max, got {lam_min!r}, {lam_max!r}")
+    if check_positive_int(points, "points") > GRID_CAP:
+        raise ResourceLimitError(f"points={points} exceeds GRID_CAP = {GRID_CAP}")
     base = np.geomspace(lam_min, lam_max, points).tolist()
     for b in (budget.epsilon_a, budget.rel_boundary):
         for lam in (b * (1.0 - 1e-6), b, b * (1.0 + 1e-6)):
@@ -161,7 +169,6 @@ def scan_coverage(
 def min_sample_size_exact(
     budget: ErrorBudget,
     grid: Optional[Sequence[float]] = None,
-    n_hint: Optional[int] = None,
 ) -> PlanResult:
     """Smallest n whose exact coverage reaches 1 - delta at every grid mean.
 
@@ -173,10 +180,8 @@ def min_sample_size_exact(
     log distance (the mixed criterion binds there), and each mean that
     fails moves to the front.  The order changes only the cost.
 
-    The scan checks ``n_hint`` only when it reaches it, like any other n,
-    so a hint changes neither the answer nor the cost; it is validated and
-    otherwise unused.  The closed-form n meets the guarantee at every mean,
-    so the scan stops at or below it without evaluating its wide windows.
+    The closed-form n meets the guarantee at every mean, so the scan stops
+    at or below it without evaluating its wide windows.
     Raises ResourceLimitError once the scan would try an n above
     SEARCH_CAP.  The result is a statement about the supplied grid only -
     means outside it are not checked.
@@ -185,10 +190,7 @@ def min_sample_size_exact(
     if not lams:
         raise ParameterError("grid", "grid must be non-empty")
     for lam in lams:
-        if not 0.0 < lam < math.inf:
-            raise ParameterError("grid", f"grid means must be finite and > 0, got {lam!r}")
-    if n_hint is not None:
-        check_positive_int(n_hint, "n_hint")
+        check_positive_real(lam, "grid")
     ratios = [_window_ratios(lam, budget) for lam in lams]
 
     target = 1.0 - budget.delta
@@ -217,9 +219,7 @@ def min_sample_size_exact(
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError("p", f"quantile argument must be in (0, 1), got {p!r}")
-    return NormalDist().inv_cdf(p)
+    return NormalDist().inv_cdf(check_unit_interval(p, "p"))
 
 
 def normal_approx_sample_size(
@@ -228,19 +228,17 @@ def normal_approx_sample_size(
     """Textbook baseline: n = ceil(z_{1-delta/2}^2 * lam / epsilon_a^2).
 
     Uses Var(mean) = lam/n under the Poisson model and an assumed true mean;
-    unlike the closed-form rule it carries no worst-case guarantee.  Raises
-    ResourceLimitError when the right-hand side overflows a double.
+    unlike the closed-form rule it carries no worst-case guarantee.  z is
+    taken as -quantile(delta/2), which stays accurate where 1 - delta/2 would
+    round to 1.  Raises ResourceLimitError when the right-hand side
+    overflows a double, including when epsilon_a^2 underflows to 0.
     """
-    if not lambda_assumed > 0.0:
-        raise ParameterError(
-            "lambda_assumed", f"lambda_assumed must be > 0, got {lambda_assumed!r}"
-        )
-    if not epsilon_a > 0.0:
-        raise ParameterError("epsilon_a", f"epsilon_a must be > 0, got {epsilon_a!r}")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta", f"delta must be in (0, 1), got {delta!r}")
-    z = normal_quantile(1.0 - delta / 2.0)
-    rhs = z * z * lambda_assumed / (epsilon_a * epsilon_a)
+    check_positive_real(lambda_assumed, "lambda_assumed")
+    check_positive_real(epsilon_a, "epsilon_a")
+    check_unit_interval(delta, "delta")
+    z = -normal_quantile(delta / 2.0)
+    eps2 = epsilon_a * epsilon_a
+    rhs = z * z * lambda_assumed / eps2 if eps2 else math.inf
     if not math.isfinite(rhs):
         raise ResourceLimitError(
             f"the normal-approximation n overflows for lambda_assumed={lambda_assumed!r}, "

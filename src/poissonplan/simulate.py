@@ -30,8 +30,8 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .budget import ErrorBudget
-from .errors import ParameterError, ResourceLimitError, check_positive_int
-from .exact import _cut_guesses, _lower_cut, _upper_cut, coverage_window, poisson_pmf
+from .errors import ParameterError, ResourceLimitError, check_positive_int, check_positive_real
+from .exact import _cut_guesses, _lower_cut, _mean, _upper_cut, coverage_window, poisson_pmf
 
 TRIALS_CAP = 10**9
 GENERATOR_ID = "philox4x64:block65536:guide-inversion:v2"
@@ -56,8 +56,7 @@ class SimConfig:
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ParameterError("seed", f"seed must be a 64-bit unsigned int, got {self.seed!r}")
         check_positive_int(self.n, "n")
-        if not self.lam > 0.0:
-            raise ParameterError("lam", f"lam must be > 0, got {self.lam!r}")
+        check_positive_real(self.lam, "lam")
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,7 @@ def poisson_sampler(theta: float, stream: Generator) -> int:
     of the stream state.  Means whose cdf table exceeds TABLE_CAP entries
     (above about 2.7e9) raise ResourceLimitError.
     """
-    if not theta > 0.0:
-        raise ParameterError("theta", f"theta must be > 0, got {theta!r}")
-    first, cum, guide = _table(theta)
+    first, cum, guide = _table(check_positive_real(theta, "theta"))
     u = stream.random()
     j = int(guide[int(u * guide.size)])
     if cum[j] <= u:  # a cdf value lies between the guide cell's start and u
@@ -151,13 +148,14 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
     """Estimate the coverage probability by seeded Monte Carlo.
 
     Identical configs produce identical results.  Means n*lam whose cdf
-    table exceeds TABLE_CAP entries raise ResourceLimitError.
+    table exceeds TABLE_CAP entries, or that overflow a double, raise
+    ResourceLimitError.
     """
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
             f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"
         )
-    theta = cfg.n * cfg.lam
+    theta = _mean(cfg.n, cfg.lam)
     _table(theta)  # refuse an over-cap mean before any other work
     k_min, k_max = coverage_window(cfg.n, cfg.lam, cfg.budget)
     # Counts are int64; clamp an astronomically wide window without changing the event.

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from poissonplan import __version__, cli
+from poissonplan import __version__, cli, plan
 from poissonplan.cli import main
 
 E_INV = 0.36787944117144233
@@ -67,6 +67,25 @@ class TestSize:
         code, out, err = run_cli(
             capsys, "size", "--method", "normal", "--lambda", "1e308",
             "--eps-a", "1e-10", "--eps-r", "0.1", "--delta", "0.05",
+        )
+        assert code == 2
+        assert "overflows" in err
+        assert out == ""
+
+    def test_normal_method_tiny_delta(self, capsys):
+        # 1 - delta/2 rounds to 1 here, but z and n are representable;
+        # z is scipy.stats.norm.isf(5e-18).
+        report = run_json(
+            capsys, "size", "--method", "normal", "--lambda", "1",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "1e-17",
+        )
+        assert report["results"]["n"] == 7352
+        assert report["results"]["rhs"] == pytest.approx(100.0 * 8.573944076720883**2, rel=1e-12)
+
+    def test_normal_method_underflowing_eps_a_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "size", "--method", "normal", "--lambda", "1",
+            "--eps-a", "1e-300", "--eps-r", "0.1", "--delta", "0.05",
         )
         assert code == 2
         assert "overflows" in err
@@ -159,6 +178,16 @@ class TestVerify:
             assert "domain" in err
             assert out == ""
 
+    @pytest.mark.parametrize("mc", [[], ["--mc-trials", "10"]])
+    def test_overflowing_mean_exits_2(self, capsys, mc):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", str(10**400), "--lambda", "1",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05", *mc,
+        )
+        assert code == 2
+        assert "domain" in err
+        assert out == ""
+
     def test_window_over_term_cap_exits_2(self, capsys):
         # theta = 1.5e13 is inside the domain, but its certified window has
         # more terms than the kernel sums.
@@ -238,6 +267,25 @@ class TestScan:
         assert code == 2
         assert "error: --lambda-max:" in err
         assert "RuntimeWarning" not in err
+        assert out == ""
+
+    def test_overflowing_mean_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--n", str(10**400), "--grid-points", "3",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+        )
+        assert code == 2
+        assert "domain" in err
+        assert out == ""
+
+    def test_grid_over_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(plan, "GRID_CAP", 8)
+        code, out, err = run_cli(
+            capsys, "scan", "--n", "10", "--grid-points", "9",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+        )
+        assert code == 2
+        assert "GRID_CAP = 8" in err
         assert out == ""
 
     def test_unwritable_output_exits_4(self, capsys):

@@ -429,6 +429,11 @@ class TestWindowMassInternals:
                 _window_mass(theta, 0, 10)
         assert _window_mass(math.inf, 10, 9) == 0.0  # empty windows need no theta
 
+    def test_mean_past_double_range_is_outside_domain(self):
+        # n*lam with n = 10**400 cannot be formed as a double at all.
+        with pytest.raises(ResourceLimitError, match="domain"):
+            exact_coverage(10**400, 1.0, ErrorBudget(0.1, 0.1, 0.05))
+
 
 @functools.lru_cache(maxsize=None)
 def _switch_case(theta):

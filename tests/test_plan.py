@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from poissonplan import (
     CaseLabel,
@@ -301,6 +302,14 @@ class TestLambdaGrids:
             lambda_grid(ErrorBudget(0.1, 0.1, 0.05), lam_min, lam_max, 10)
         assert excinfo.value.param == param
 
+    def test_grid_cap(self, monkeypatch):
+        assert plan.GRID_CAP == 2**20
+        budget = ErrorBudget(0.1, 0.1, 0.05)
+        monkeypatch.setattr(plan, "GRID_CAP", 4)
+        assert len(lambda_grid(budget, 2.0, 3.0, 4)) == 4
+        with pytest.raises(ResourceLimitError, match="GRID_CAP = 4"):
+            lambda_grid(budget, 2.0, 3.0, 5)
+
 
 class TestScanCoverage:
     def test_scan_order_matches_grid(self):
@@ -335,11 +344,6 @@ class TestMinSampleSizeExact:
         assert all(exact_coverage(n_star, lam, budget).coverage >= 0.95 for lam in grid)
         assert any(exact_coverage(n_star - 1, lam, budget).coverage < 0.95 for lam in grid)
 
-    def test_hint_does_not_change_result(self):
-        budget = ErrorBudget(0.1, 0.1, 0.05)
-        for hint in (10, 381, 500, 762):
-            assert min_sample_size_exact(budget, n_hint=hint).n == EXACT_MIN_N_CANONICAL
-
     def test_search_cap(self, monkeypatch):
         budget = ErrorBudget(0.1, 0.1, 0.05)
         monkeypatch.setattr(plan, "SEARCH_CAP", EXACT_MIN_N_CANONICAL)
@@ -364,8 +368,6 @@ class TestMinSampleSizeExact:
         assert min_sample_size_exact(budget, grid=grid).n == n_ref
         shuffled = data.draw(st.permutations(grid))
         assert min_sample_size_exact(budget, grid=shuffled).n == n_ref
-        for hint in (max(1, n_ref - 1), n_ref, n_ref + 7):
-            assert min_sample_size_exact(budget, grid=grid, n_hint=hint).n == n_ref
 
     def test_grid_validation(self):
         budget = ErrorBudget(0.1, 0.1, 0.05)
@@ -377,8 +379,6 @@ class TestMinSampleSizeExact:
             with pytest.raises(ParameterError) as excinfo:
                 min_sample_size_exact(budget, grid=[1.0, bad])
             assert excinfo.value.param == "grid"
-        with pytest.raises(ParameterError):
-            min_sample_size_exact(budget, n_hint=0)
 
 
 class TestNormalApprox:
@@ -396,6 +396,16 @@ class TestNormalApprox:
         r1 = normal_approx_sample_size(1.0, 0.1, 0.05).rhs
         r2 = normal_approx_sample_size(2.0, 0.1, 0.05).rhs
         assert r2 == 2.0 * r1
+
+    @pytest.mark.parametrize("delta", [0.2, 0.05, 1e-6, 1e-16, 1e-17, 1e-100, 1e-300])
+    def test_z_is_the_upper_quantile_of_delta_over_2(self, delta):
+        # z = -quantile(delta/2): 1 - delta/2 rounds to 1 below delta = 1.1e-16.
+        z = stats.norm.isf(delta / 2.0)
+        assert normal_approx_sample_size(1.0, 1.0, delta).rhs == pytest.approx(z * z, rel=1e-12)
+
+    def test_underflowing_tolerance_squared_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimitError, match="overflows"):
+            normal_approx_sample_size(1.0, 1e-300, 0.05)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -101,12 +101,20 @@ class TestSimulateCoverage:
         with pytest.raises(ResourceLimitError):
             simulate_coverage(cfg)
         assert TABLE_CAP == 2**20
-        for theta in (2.8e9, 2.0**54, math.inf):
+        for theta in (2.8e9, 2.0**54):
             with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
                 poisson_sampler(theta, _stream(1))
             with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
                 _sample_poisson_block(theta, _stream(1), 10)
+        with pytest.raises(ParameterError) as excinfo:  # rejected by the input contract, not the cap
+            poisson_sampler(math.inf, _stream(1))
+        assert excinfo.value.param == "theta"
         assert poisson_sampler(2.7e9, _stream(1)) > 0  # just inside the cap
+
+    def test_mean_past_double_range_raises(self):
+        cfg = SimConfig(trials=10, seed=0, n=10**400, lam=1.0, budget=ErrorBudget(0.1, 0.1, 0.05))
+        with pytest.raises(ResourceLimitError):
+            simulate_coverage(cfg)
 
     def test_config_validation(self):
         budget = ErrorBudget(1.0, 0.5, 0.05)
