@@ -27,7 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParameterError, check_positive_int, check_positive_real, check_unit_interval
+from .errors import (
+    ParameterError, check_positive_int, check_positive_real, check_unit_interval, scaled
+)
 
 _SIDES = ("lower", "upper")
 
@@ -134,8 +136,8 @@ def tail_bound_abs(n: int, lam: float, epsilon: float, side: str) -> float:
             raise ParameterError(
                 "epsilon", f"lower bound needs lam > epsilon, got lam={lam!r} epsilon={epsilon!r}"
             )
-        return math.exp(n * g_exponent(-epsilon, lam))
-    return math.exp(n * g_exponent(epsilon, lam))
+        return math.exp(scaled(n, g_exponent(-epsilon, lam)))
+    return math.exp(scaled(n, g_exponent(epsilon, lam)))
 
 
 def tail_bound_rel(n: int, lam: float, epsilon: float, side: str) -> float:
@@ -155,8 +157,8 @@ def tail_bound_rel(n: int, lam: float, epsilon: float, side: str) -> float:
     if side not in _SIDES:
         raise ParameterError("side", f"side must be one of {_SIDES}, got {side!r}")
     if side == "lower":
-        return math.exp(n * (lam * _h(-check_unit_interval(epsilon, "epsilon"))))
-    return math.exp(n * (lam * _h(check_positive_real(epsilon, "epsilon"))))
+        return math.exp(scaled(n, lam * _h(-check_unit_interval(epsilon, "epsilon"))))
+    return math.exp(scaled(n, lam * _h(check_positive_real(epsilon, "epsilon"))))
 
 
 @dataclass(frozen=True)

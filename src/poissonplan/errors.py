@@ -5,7 +5,9 @@ rejected argument (ResourceLimitError for a valid request past a cap).  Each
 input is checked once, where the library takes it: by check_positive_int,
 check_positive_real (finite and > 0; no function answers at inf) or
 check_unit_interval (inside (0, 1)), then by any relational condition such
-as lam > epsilon inline.  The command line maps ``param`` to its flag.
+as lam > epsilon inline.  An integer past the double range is valid and
+enters products through ``scaled``.  The command line maps ``param`` to
+its flag.
 """
 
 import math
@@ -46,3 +48,11 @@ def check_unit_interval(value, name: str):
     if not 0.0 < value < 1.0:
         raise ParameterError(name, f"{name} must be in (0, 1), got {value!r}")
     return value
+
+
+def scaled(n: int, x: float) -> float:
+    """n*x for an integer n >= 0; past the double range, the limit x*inf (0 at x = 0)."""
+    try:
+        return n * x
+    except OverflowError:
+        return x * math.inf if x else x

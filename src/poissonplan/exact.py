@@ -11,16 +11,17 @@ series when k is close to theta.  Unlike exp(-theta + k*ln(theta) -
 lgamma(k+1)), no large terms are differenced, so the relative error stays
 near machine precision even for theta in the hundreds of thousands.
 
-Series over k are truncated only where this module's own Chernoff bound
-certifies the neglected tail mass below 1e-16.  Coverage windows, the cdf
-and the single tails take one kernel, which sums the shorter side: a window
-that holds the mode and more than half of the certified span is
-1 - (its complement in the span), else the window itself.  Each side is one
-saddle-point anchor at its mode-nearest count, extended by the ratio
-recurrence pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most 65,536
-terms, so memory does not grow with theta.  The drift is at most
+Series over k are truncated to the certified span of _span,
+theta -+ (10*sqrt(theta) + 35), outside which the Chernoff bound
+e^{-theta} (theta*e/r)^r leaves less than 1e-16 of mass on each side.
+Coverage windows, the cdf and the single tails take one kernel, which sums
+the shorter side: a window that holds the mode and has more terms than its
+complement in the span is 1 - (that complement), else the window itself.
+Each side is one saddle-point anchor at its mode-nearest count, extended by
+the ratio recurrence pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most
+65,536 terms, so memory does not grow with theta.  The drift is at most
 (terms on the shorter side) * 1e-16 plus the certified mass beyond the
-cuts; a window spanning both cuts is exactly 1.0 and sums nothing.
+span; a window covering the span is exactly 1.0 and sums nothing.
 
 Window endpoints are exact: each double is split into its integer ratio and
 n*(lam -+ w) is floored or ceiled by integer division, so a count landing
@@ -41,9 +42,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .bounds import chernoff_log_bound
 from .budget import CaseLabel, ErrorBudget, case_of
-from .errors import ParameterError, ResourceLimitError, check_positive_int, check_positive_real
+from .errors import (
+    ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
+)
 
 _LN_SQRT_2PI = 0.9189385332046727
 _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
@@ -51,7 +53,7 @@ _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
 # Domain of the window kernel: above 2^53 consecutive counts are no longer
 # distinct doubles.
 THETA_MAX = 2.0**53
-# Most terms one window sum may take after clipping to the certified cuts
+# Most terms one window sum may take after clipping to the certified span
 # (about theta = 1.1e13 for a window around the mean); wider raises
 # ResourceLimitError instead of running for minutes.
 TERM_CAP = 2**26
@@ -112,42 +114,40 @@ def poisson_pmf(theta: float, k: int) -> float:
         raise ParameterError("k", f"k must be >= 0, got {k!r}")
     if k == 0:
         return math.exp(-theta)
-    exponent = -_stirlerr(k) - _bd0(float(k), theta)
+    x = scaled(k, 1.0)
+    if x == math.inf:  # k past the double range: the pmf underflows at every finite theta
+        return 0.0
+    exponent = -_stirlerr(k) - _bd0(x, theta)
     if exponent < -745.0:  # exp underflows; avoid raising on the sqrt scale
         return 0.0
     return math.exp(exponent) / math.sqrt(2.0 * math.pi * k)
 
 
-def _cut_guesses(theta: float) -> Tuple[float, float]:
-    """Starting points of the lower and upper cut searches, which only move outward."""
+def _span(theta: float) -> Tuple[int, int]:
+    """(lc, uc): the counts outside which under 1e-16 of mass lies on each side.
+
+    uc = int(theta + 10*sqrt(theta) + 35); lc = 0 while e^{-theta} >= 1e-16,
+    else max(int(theta - 10*sqrt(theta) - 35), 0) + 1.  The Chernoff bound
+    Pr{K >= r} or Pr{K <= r} <= exp(theta*h(u)), h(u) = u - (1+u)ln(1+u),
+    u = (r - theta)/theta, certifies both, with d = |r - theta|:
+    - above, d >= 10*sqrt(theta) + 34 and Bennett's -h(u) >= u^2/(2(1+u/3))
+      give theta*h(u) <= -(100 theta + 680 sqrt(theta) + 1156) /
+      (2 theta + (20 sqrt(theta) + 68)/3) < -50, term by term;
+    - below, -h(u) >= u^2/2 on (-1, 0] gives -(10 sqrt(theta) + 35)^2/(2 theta)
+      < -50, and a clamped lc = 1 leaves Pr{K = 0} = e^{-theta} < 1e-16;
+    both below ln(1e-16) = -36.84.  theta must be finite.
+    """
     spread = 10.0 * math.sqrt(theta)
-    return theta - spread - 35.0, theta + spread + 35.0
-
-
-def _upper_cut(theta: float) -> int:
-    """Smallest practical m > theta with certified Pr{K >= m} < 1e-16."""
-    m = int(_cut_guesses(theta)[1])
-    while chernoff_log_bound(theta, float(m)) >= _LOG_CUT:
-        m = int(1.25 * m) + 10
-    return m
-
-
-def _lower_cut(theta: float) -> int:
-    """Largest m >= 0 with certified Pr{K <= m} < 1e-16, or -1 if none."""
-    if -theta >= _LOG_CUT:  # even Pr{K = 0} = e^{-theta} is not negligible
-        return -1
-    m = int(_cut_guesses(theta)[0])
-    while m > 0 and chernoff_log_bound(theta, float(m)) >= _LOG_CUT:
-        m = int(0.8 * m) - 10
-    return max(m, 0)
+    lc = 0 if theta <= -_LOG_CUT else max(int(theta - spread - 35.0), 0) + 1
+    return lc, int(theta + spread + 35.0)
 
 
 def poisson_cdf(theta: float, k: int) -> float:
     """Pr{K <= k} for K ~ Poisson(theta); k < 0 returns 0.
 
     The window [0, k] goes through the coverage kernel: clipped to the
-    Chernoff-certified cuts beyond which the neglected mass on either side
-    is below 1e-16 and summed by its shorter side, so a k above the mode
+    certified span, beyond which the neglected mass on either side is
+    below 1e-16, and summed by its shorter side, so a k above the mode
     costs the upper tail beyond k.  The kernel's domain and term cap apply.
     """
     check_positive_real(theta, "theta")
@@ -172,7 +172,7 @@ def exact_tail(theta: float, r: float, side: str) -> float:
         raise ParameterError("r", f"r must be finite, got {r!r}")
     if side == "geq":
         lo = max(0, math.ceil(r))
-        return _window_mass(theta, lo, max(lo, _upper_cut(theta)))
+        return _window_mass(theta, lo, max(lo, _span(theta)[1]))
     if side == "leq":
         hi = math.floor(r)
         if hi < 0:
@@ -232,27 +232,17 @@ def _anchored_sum(theta: float, lo: int, hi: int) -> float:
 def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
     """Sum of pmf over the integer window [k_lo, k_hi], by its shorter side.
 
-    The window is first clipped to the certified span [lc, uc], whose cuts
-    leave out less than 1e-16 of mass on each side.  A cut is searched only
-    when the window reaches its starting guess, because the search only
-    moves outward from there, and at most once per call: the complement
-    route reuses a cut the clip found.  The term cap applies to the clipped
-    window.
-    When the clipped window [lo, hi] holds the mode and has more terms than
-    its complement in the span, the result is
+    The window is clipped to the certified span [lc, uc] of _span, and the
+    term cap applies to the clipped window [lo, hi].  When it holds the
+    mode and has more terms than its complement in the span, the result is
     1 - mass[lc, lo-1] - mass[hi+1, uc], exactly 1.0 when both pieces are
-    empty; otherwise the window itself is summed.  Both cuts are searched
-    only for a window holding over half the span of the guesses: the cuts
-    lie at or beyond their guesses, so, apart from a lower cut clamped at
-    0, a narrower window cannot be the longer side.  Each side goes through
+    empty; otherwise the window itself is summed.  Each side goes through
     _anchored_sum.
 
-    Both routes leave out the same certified mass beyond the cuts, and the
-    recurrence drifts by at most (terms summed) * 1e-16 in absolute terms,
-    where the terms summed are the shorter side's.  A window that holds the
-    mode and over half the span has mass near 1/2 or more, so the
-    complement route keeps the relative accuracy of the direct one.  The
-    tests cross-check both routes against the mpmath oracles.
+    Both routes leave out the same certified mass beyond the span, and the
+    recurrence drifts by at most (terms on the shorter side) * 1e-16.  A
+    window holding the mode and over half the span has mass near 1/2 or
+    more, so the complement keeps the direct route's relative accuracy.
     """
     if k_hi < k_lo:
         return 0.0
@@ -260,18 +250,8 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
         raise ResourceLimitError(
             f"theta={theta!r} is outside the exact kernel's domain theta <= 2^53"
         )
-    lo_guess, hi_guess = _cut_guesses(theta)
-    lc = uc = None  # the certified span's ends, once searched
-    if k_lo > 0 and k_lo > lo_guess:
-        lo = k_lo
-    else:
-        lc = _lower_cut(theta) + 1
-        lo = max(k_lo, lc)
-    if k_hi <= hi_guess:
-        hi = k_hi
-    else:
-        uc = _upper_cut(theta)
-        hi = min(k_hi, uc)
+    lc, uc = _span(theta)
+    lo, hi = max(k_lo, lc), min(k_hi, uc)
     if hi < lo:
         return 0.0  # window lies entirely in certified-negligible tails
     if hi - lo >= TERM_CAP:
@@ -279,22 +259,9 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
             f"the exact window at theta={theta!r} has {hi - lo + 1} terms, "
             f"over the cap of {TERM_CAP}"
         )
-    if 2 * (hi - lo + 1) > hi_guess - lo_guess and lo <= int(theta) <= hi:
-        if lc is None:
-            lc = _lower_cut(theta) + 1
-        if uc is None:
-            uc = _upper_cut(theta)
-        if (lo - lc) + (uc - hi) < hi - lo + 1:
-            return 1.0 - _anchored_sum(theta, lc, lo - 1) - _anchored_sum(theta, hi + 1, uc)
+    if lo <= int(theta) <= hi and (lo - lc) + (uc - hi) < hi - lo + 1:
+        return 1.0 - _anchored_sum(theta, lc, lo - 1) - _anchored_sum(theta, hi + 1, uc)
     return min(_anchored_sum(theta, lo, hi), 1.0)
-
-
-def _mean(n: int, lam: float) -> float:
-    """n*lam, or inf where the product overflows (n past the double range)."""
-    try:
-        return n * lam
-    except OverflowError:
-        return math.inf
 
 
 def _window_ratios(lam: float, budget: ErrorBudget) -> Tuple[int, int, int]:
@@ -354,7 +321,7 @@ def exact_coverage(n: int, lam: float, budget: ErrorBudget) -> CoveragePoint:
     A mean n*lam past the double range raises the kernel's ResourceLimitError.
     """
     k_min, k_max = coverage_window(n, lam, budget)
-    coverage = _window_mass(_mean(n, lam), k_min, k_max)
+    coverage = _window_mass(scaled(n, lam), k_min, k_max)
     return CoveragePoint(
         lam=lam,
         n=n,

@@ -37,6 +37,7 @@ from .errors import (
     check_positive_int,
     check_positive_real,
     check_unit_interval,
+    scaled,
 )
 from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
 
@@ -114,10 +115,17 @@ def is_sufficient(n: int, budget: ErrorBudget) -> bool:
     """True iff n samples meet the guarantee per the log-space threshold.
 
     Checks n * g_c < ln(delta/2), the exponential-threshold form of the
-    closed-form rule.
+    closed-form rule; a delta whose half rounds to 0 raises ResourceLimitError.
     """
     check_positive_int(n, "n")
-    return n * critical_exponent(budget) < math.log(budget.delta / 2.0)
+    return scaled(n, critical_exponent(budget)) < math.log(_half(budget.delta))
+
+
+def _half(delta: float) -> float:
+    """delta/2, or ResourceLimitError naming delta where it rounds to 0."""
+    if not delta / 2.0:
+        raise ResourceLimitError(f"delta={delta!r} is too small: delta/2 rounds to 0")
+    return delta / 2.0
 
 
 def lambda_grid(
@@ -231,12 +239,13 @@ def normal_approx_sample_size(
     unlike the closed-form rule it carries no worst-case guarantee.  z is
     taken as -quantile(delta/2), which stays accurate where 1 - delta/2 would
     round to 1.  Raises ResourceLimitError when the right-hand side
-    overflows a double, including when epsilon_a^2 underflows to 0.
+    overflows a double, including when epsilon_a^2 underflows to 0, and
+    when delta/2 rounds to 0.
     """
     check_positive_real(lambda_assumed, "lambda_assumed")
     check_positive_real(epsilon_a, "epsilon_a")
     check_unit_interval(delta, "delta")
-    z = -normal_quantile(delta / 2.0)
+    z = -normal_quantile(_half(delta))
     eps2 = epsilon_a * epsilon_a
     rhs = z * z * lambda_assumed / eps2 if eps2 else math.inf
     if not math.isfinite(rhs):

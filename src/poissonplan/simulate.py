@@ -11,12 +11,13 @@ the per-block spawn are part of the pinned stream definition.  Variates
 come from this module's own sampler rather than the numpy distribution
 methods, whose streams may change between numpy releases: one inverse-cdf
 lookup per draw, consuming exactly one uniform u and returning the smallest
-k with cdf(k) > u.  The cdf table spans the exact module's certified cuts
-(less than 1e-16 of the mass lies outside on either side) and is built once
-per mean; a guide index over u finds each count in about one step.  A
-scalar draw is the same lookup as a block of one.  The table is capped at
-TABLE_CAP entries (means up to about 2.7e9); larger means raise
-ResourceLimitError, which the command line reports with exit code 2.
+k with cdf(k) > u.  The cdf table covers the exact module's certified span
+theta -+ (10*sqrt(theta) + 35), outside which less than 1e-16 of the mass
+lies on either side, and is built once per mean; a guide index over u
+finds each count in about one step.  A scalar draw is the same lookup as a
+block of one.  The table is capped at TABLE_CAP entries (means up to about
+2.7e9); larger means raise ResourceLimitError, which the command line
+reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .budget import ErrorBudget
-from .errors import ParameterError, ResourceLimitError, check_positive_int, check_positive_real
-from .exact import _cut_guesses, _lower_cut, _mean, _upper_cut, coverage_window, poisson_pmf
+from .errors import (
+    ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
+)
+from .exact import THETA_MAX, _span, coverage_window, poisson_pmf
 
 TRIALS_CAP = 10**9
 GENERATOR_ID = "philox4x64:block65536:guide-inversion:v2"
@@ -72,25 +75,20 @@ class SimResult:
 
 @lru_cache(maxsize=1)
 def _table(theta: float) -> Tuple[int, np.ndarray, np.ndarray]:
-    """(first, cum, guide): the cdf table of Poisson(theta) between its certified cuts.
+    """(first, cum, guide): the cdf table of Poisson(theta) over its certified span.
 
-    cum[j] is the cdf at count first + j, anchored at the in-window mode
+    cum[j] is the cdf at count first + j, anchored at the in-span mode
     with the saddle-point pmf and extended by the ratio recurrence
     pmf(k+1) = pmf(k)*theta/(k+1), as the exact window kernel does.  It
     ends with an inf sentinel, so a lookup past the table's mass (below
     1e-16) returns the first count after the table.  guide[c] is the number
     of entries <= c/len(guide); its length is a power of two, so
     c = floor(u*len(guide)) is exact and guide[c] never passes the answer
-    for u.  Raises ResourceLimitError above TABLE_CAP entries.
+    for u.  Raises ResourceLimitError above TABLE_CAP entries, and for a
+    theta past the exact kernel's domain (inf included).
     """
-    lo_guess, hi_guess = _cut_guesses(theta)
-    # The cut searches only move outward from their guesses, so a span of
-    # guesses over the cap (or not finite) is refused before searching.
-    span = hi_guess - lo_guess
-    if span < TABLE_CAP:
-        lo, hi = _lower_cut(theta) + 1, _upper_cut(theta)
-        span = hi - lo
-    if not span < TABLE_CAP:
+    lo, hi = _span(theta) if theta <= THETA_MAX else (0, TABLE_CAP)
+    if hi - lo >= TABLE_CAP:
         raise ResourceLimitError(
             f"the sampler's cdf table at theta={theta!r} needs more than "
             f"TABLE_CAP = {TABLE_CAP} entries (theta above about 2.7e9)"
@@ -155,7 +153,7 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
         raise ResourceLimitError(
             f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"
         )
-    theta = _mean(cfg.n, cfg.lam)
+    theta = scaled(cfg.n, cfg.lam)
     _table(theta)  # refuse an over-cap mean before any other work
     k_min, k_max = coverage_window(cfg.n, cfg.lam, cfg.budget)
     # Counts are int64; clamp an astronomically wide window without changing the event.

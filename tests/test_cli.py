@@ -82,6 +82,16 @@ class TestSize:
         assert report["results"]["n"] == 7352
         assert report["results"]["rhs"] == pytest.approx(100.0 * 8.573944076720883**2, rel=1e-12)
 
+    def test_normal_method_delta_halving_to_zero_exits_2(self, capsys):
+        # delta/2 rounds to 0 for the smallest subnormal; the message names delta.
+        code, out, err = run_cli(
+            capsys, "size", "--method", "normal", "--lambda", "1",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "5e-324",
+        )
+        assert code == 2
+        assert "delta=5e-324" in err
+        assert out == ""
+
     def test_normal_method_underflowing_eps_a_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "size", "--method", "normal", "--lambda", "1",

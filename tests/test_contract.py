@@ -28,7 +28,9 @@ from poissonplan import (
     coverage_window,
     exact_coverage,
     exact_tail,
+    formula_sample_size,
     g_exponent,
+    is_sufficient,
     lambda_grid,
     min_sample_size_exact,
     normal_approx_sample_size,
@@ -127,6 +129,42 @@ def test_signed_arguments_keep_their_finite_domain():
     assert exact_tail(1.0, -1.0, "leq") == 0.0
     assert exact_tail(1.0, -1.0, "geq") == pytest.approx(1.0, abs=1e-15)
     assert poisson_cdf(1.0, -3.0) == 0.0
+
+
+# Integer arguments past the double range answer with the limit of n*x.
+BIG = 10**400
+BIG_INTEGER_ROWS = [
+    ("is_sufficient", lambda: is_sufficient(BIG, B), True),
+    ("tail_bound_abs.upper", lambda: tail_bound_abs(BIG, 1.0, 0.1, "upper"), 0.0),
+    ("tail_bound_abs.lower", lambda: tail_bound_abs(BIG, 1.0, 0.1, "lower"), 0.0),
+    ("tail_bound_rel.upper", lambda: tail_bound_rel(BIG, 1.0, 0.1, "upper"), 0.0),
+    ("tail_bound_rel.lower", lambda: tail_bound_rel(BIG, 1.0, 0.1, "lower"), 0.0),
+    # h(1e-300) underflows to -0, so the exponent is -0 and the bound 1.0.
+    ("tail_bound_rel.h_underflow", lambda: tail_bound_rel(BIG, 1.0, 1e-300, "upper"), 1.0),
+    ("poisson_pmf.k", lambda: poisson_pmf(1.0, 2**1024), 0.0),
+    ("poisson_pmf.k.theta_max", lambda: poisson_pmf(1.7976931348623157e308, 2**1024), 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "call, expected", [pytest.param(c, e, id=label) for label, c, e in BIG_INTEGER_ROWS]
+)
+def test_integer_past_double_range_answers(call, expected):
+    assert call() == expected
+
+
+# delta = 5e-324 is valid, but delta/2 rounds to 0.
+HALF_DELTA_ZERO = [
+    ("is_sufficient", lambda: is_sufficient(10**6, ErrorBudget(0.1, 0.1, 5e-324))),
+    ("formula_sample_size", lambda: formula_sample_size(ErrorBudget(0.1, 0.1, 5e-324))),
+    ("normal_approx_sample_size", lambda: normal_approx_sample_size(1.0, 0.1, 5e-324)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=label) for label, c in HALF_DELTA_ZERO])
+def test_delta_halving_to_zero_is_a_resource_limit_naming_delta(call):
+    with pytest.raises(ResourceLimitError, match="delta=5e-324"):
+        call()
 
 
 EXTREMES = [5e-324, 1e-300, 1e-10, 0.5, 1.0, 1e10, 1e300, 1.7e308]

@@ -22,13 +22,11 @@ from poissonplan import (
     tail_bound_abs,
     tail_bound_rel,
 )
-from poissonplan import exact as exact_module
 from poissonplan.exact import (
     TERM_CAP,
     THETA_MAX,
     _anchored_sum,
-    _lower_cut,
-    _upper_cut,
+    _span,
     _window_mass,
 )
 
@@ -435,6 +433,32 @@ class TestWindowMassInternals:
             exact_coverage(10**400, 1.0, ErrorBudget(0.1, 0.1, 0.05))
 
 
+# Log-spaced means over the whole double range of the kernel, then fine
+# steps where lc leaves 0 (theta = -ln(1e-16) = 36.84) and where the lower
+# guess theta - 10 sqrt(theta) - 35 crosses 0 (theta = 162.6).
+_LOG_CUT = math.log(1e-16)
+SPAN_THETAS = (
+    [10.0 ** (-300 + i * (300 + 53 * math.log10(2)) / 19_999) for i in range(20_000)]
+    + [30.0 + 0.01 * i for i in range(1_500)]
+    + [150.0 + 0.01 * i for i in range(2_500)]
+    + [math.nextafter(-_LOG_CUT, 0.0), -_LOG_CUT, math.nextafter(-_LOG_CUT, 99.0), THETA_MAX]
+)
+
+
+def test_span_is_certified_by_the_chernoff_bound():
+    bad = []
+    for theta in SPAN_THETAS:
+        lc, uc = _span(theta)
+        ok = lc <= theta < uc and chernoff_log_bound(theta, float(uc)) < _LOG_CUT
+        if lc >= 1:
+            ok = ok and chernoff_log_bound(theta, float(lc - 1)) < _LOG_CUT
+        else:  # lc = 0 only while Pr{K = 0} = e^-theta is not negligible
+            ok = ok and -theta >= _LOG_CUT
+        if not ok:
+            bad.append((theta, lc, uc))
+    assert bad == []
+
+
 @functools.lru_cache(maxsize=None)
 def _switch_case(theta):
     """(lc, uc, lo, hi, cdf(lo - 1), cdf(hi)) for the route-switch window at theta.
@@ -443,7 +467,7 @@ def _switch_case(theta):
     in it whose complement in the span has fewer terms.  The two mpmath
     values serve every test below, since gammainc takes seconds at 1e11.
     """
-    lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+    lc, uc = _span(theta)
     span = uc - lc + 1
     width = span // 2 + 1
     lo = lc + (span - width) // 2
@@ -458,7 +482,7 @@ class TestShorterSide:
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_window_spanning_both_cuts_is_exactly_one(self, theta):
-        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        lc, uc = _span(theta)
         assert _window_mass(theta, lc, uc) == 1.0
         assert _window_mass(theta, 0, 2 * uc) == 1.0
 
@@ -484,21 +508,6 @@ class TestShorterSide:
         ]:
             assert _window_mass(theta, lo, k_hi) == pytest.approx(float(ref), abs=1e-14)
 
-    @pytest.mark.parametrize("theta", THETAS)
-    def test_each_cut_searched_at_most_once(self, theta, monkeypatch):
-        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
-        calls = []
-        for name, fn in [("_lower_cut", _lower_cut), ("_upper_cut", _upper_cut)]:
-            monkeypatch.setattr(
-                exact_module, name, lambda t, name=name, fn=fn: calls.append(name) or fn(t)
-            )
-        # Wide windows whose clip searches one or both cuts and that then
-        # take the complement route, which needs both.
-        for k_lo, k_hi in [(0, 2 * uc), (lc + 1, 2 * uc), (0, uc - 1)]:
-            calls.clear()
-            assert _window_mass(theta, k_lo, k_hi) > 0.5
-            assert sorted(calls) == ["_lower_cut", "_upper_cut"]
-
     @given(
         log_theta=st.floats(min_value=2.0, max_value=8.0),
         lo_frac=st.floats(min_value=-0.2, max_value=0.5),
@@ -507,7 +516,7 @@ class TestShorterSide:
     @settings(max_examples=100, deadline=None)
     def test_chosen_route_matches_forced_direct_sum(self, log_theta, lo_frac, hi_frac):
         theta = 10.0**log_theta
-        lc, uc = _lower_cut(theta) + 1, _upper_cut(theta)
+        lc, uc = _span(theta)
         span = uc - lc + 1
         k_lo = max(0, lc + math.floor(lo_frac * span))
         k_hi = lc + math.floor(hi_frac * span)

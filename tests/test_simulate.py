@@ -19,7 +19,7 @@ from poissonplan import (
     poisson_sampler,
     simulate_coverage,
 )
-from poissonplan.exact import _lower_cut
+from poissonplan.exact import _span
 from poissonplan.simulate import TABLE_CAP, _lookup, _sample_poisson_block, _table
 
 E_INV = 0.36787944117144233
@@ -112,9 +112,13 @@ class TestSimulateCoverage:
         assert poisson_sampler(2.7e9, _stream(1)) > 0  # just inside the cap
 
     def test_mean_past_double_range_raises(self):
+        # n*lam forms theta = inf, which the table refuses before _span sees it.
         cfg = SimConfig(trials=10, seed=0, n=10**400, lam=1.0, budget=ErrorBudget(0.1, 0.1, 0.05))
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
             simulate_coverage(cfg)
+        for theta in (math.inf, math.nan):
+            with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
+                _table(theta)
 
     def test_config_validation(self):
         budget = ErrorBudget(1.0, 0.5, 0.05)
@@ -195,7 +199,7 @@ class TestGuideLookup:
         u = u[u < 1.0]
         want = np.searchsorted(cum, u, side="right")
         assert np.array_equal(_lookup(cum, guide, u), want)
-        assert first == _lower_cut(theta) + 1
+        assert first == _span(theta)[0]
         # The scalar path, fed the same uniforms by a stand-in stream.
         stream = _Uniforms(u.tolist())
         assert [poisson_sampler(theta, stream) for _ in range(u.size)] == (want + first).tolist()
