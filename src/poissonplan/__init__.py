@@ -9,7 +9,6 @@ Poisson computation and by seeded Monte Carlo.
 __version__ = "0.1.0"
 
 from .bounds import (
-    TailBoundReport,
     chernoff_log_bound,
     chernoff_lower_tail,
     chernoff_upper_tail,
@@ -59,7 +58,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "TRIALS_CAP",
-    "TailBoundReport",
     "case_of",
     "chernoff_log_bound",
     "chernoff_lower_tail",

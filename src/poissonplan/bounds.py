@@ -24,8 +24,6 @@ for large sample sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     ParameterError, check_positive_int, check_positive_real, check_unit_interval, scaled
@@ -159,17 +157,3 @@ def tail_bound_rel(n: int, lam: float, epsilon: float, side: str) -> float:
     if side == "lower":
         return math.exp(scaled(n, lam * _h(-check_unit_interval(epsilon, "epsilon"))))
     return math.exp(scaled(n, lam * _h(check_positive_real(epsilon, "epsilon"))))
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """A Chernoff bound value, optionally paired with the exact tail it bounds.
-
-    ``exact <= bound`` is guaranteed whenever the bound's side precondition
-    held; a report produced with a forced, out-of-precondition evaluation
-    may violate it (the producer is expected to attach a warning).
-    """
-
-    bound: float
-    side: str
-    exact: Optional[float] = None

@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .bounds import TailBoundReport, chernoff_log_bound
+from .bounds import chernoff_log_bound
 from .budget import ErrorBudget
 from .errors import ParameterError, ResourceLimitError
 from .exact import exact_coverage, exact_tail
@@ -266,7 +266,6 @@ def _cmd_bound(args) -> dict:
         )
     bound = math.exp(log_bound)
     exact = exact_tail(theta, r, "geq" if side == "upper" else "leq") if args.exact else None
-    report = TailBoundReport(bound=bound, side=side, exact=exact)
     inputs = {
         "theta": theta,
         "r": r,
@@ -274,7 +273,7 @@ def _cmd_bound(args) -> dict:
         "exact": bool(args.exact),
         "force": bool(args.force),
     }
-    results = {"bound": report.bound, "side": report.side, "exact": report.exact}
+    results = {"bound": bound, "side": side, "exact": exact}
     return _envelope("bound", inputs, results, warnings)
 
 

@@ -17,21 +17,21 @@ e^{-theta} (theta*e/r)^r leaves less than 1e-16 of mass on each side.
 Coverage windows, the cdf and the single tails take one kernel, which sums
 the shorter side: a window that holds the mode and has more terms than its
 complement in the span is 1 - (that complement), else the window itself.
-Each side is one saddle-point anchor at its mode-nearest count, extended by
-the ratio recurrence pmf(k+1) = pmf(k)*theta/(k+1), in blocks of at most
-65,536 terms, so memory does not grow with theta.  The drift is at most
-(terms on the shorter side) * 1e-16 plus the certified mass beyond the
-span; a window covering the span is exactly 1.0 and sums nothing.
+Each side is summed in pieces of at most 65,536 terms, each one run of
+_run (the sampler's cdf table is one more): a saddle-point anchor at its
+mode-nearest count, extended by the ratio recurrence pmf(k+1) =
+pmf(k)*theta/(k+1).  The drift is at most 65,536 * 1e-16 relative per
+piece plus the certified mass beyond the span, memory does not grow with
+theta, and a window covering the span is exactly 1.0 and sums nothing.
 
 Window endpoints are exact: each double is split into its integer ratio and
 n*(lam -+ w) is floored or ceiled by integer division, so a count landing
 exactly on an endpoint is excluded as the strict inequality demands.
 
 Domain: the window kernel, and with it the cdf and the tails, accepts
-theta <= 2^53 (THETA_MAX) and at most TERM_CAP = 2^26 terms after
-clipping, which a window around the mean reaches near theta = 1.1e13.
-Beyond either it raises ResourceLimitError rather than allocate or run
-without bound.
+theta <= 2^53 (THETA_MAX) and sums at most TERM_CAP = 2^26 terms per side,
+which a half-tail reaches near theta = 4.5e13.  Beyond either limit it
+raises ResourceLimitError rather than allocate or run without bound.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
 # Domain of the window kernel: above 2^53 consecutive counts are no longer
 # distinct doubles.
 THETA_MAX = 2.0**53
-# Most terms one window sum may take after clipping to the certified span
-# (about theta = 1.1e13 for a window around the mean); wider raises
-# ResourceLimitError instead of running for minutes.
+# Most terms one side of a window sum may take (a half-tail near theta =
+# 4.5e13); more raise ResourceLimitError instead of running for minutes.
 TERM_CAP = 2**26
-_BLOCK = 65536  # terms per cumulative-product block
+_BLOCK = 65536  # terms per anchored piece of a long sum
 
 # Stirling-series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188.
 _S0 = 1.0 / 12.0
@@ -181,68 +180,69 @@ def exact_tail(theta: float, r: float, side: str) -> float:
     raise ParameterError("side", f"side must be 'geq' or 'leq', got {side!r}")
 
 
-def _ratio_sum(ratios: np.ndarray, carry: float) -> Tuple[float, float]:
-    """Sum of the running products carry*r[0], carry*r[0]*r[1], ...; returns (sum, last)."""
-    ratios[0] *= carry
-    prods = np.cumprod(ratios)
-    return float(prods.sum()), float(prods[-1])
+def _run(theta: float, lo: int, hi: int) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(p0, down, up): the pmf over a non-empty [lo, hi] as one anchored run.
+
+    p0 = pmf(k0) at k0, the count of [lo, hi] nearest int(theta);
+    up[j] = pmf(k0+1+j)/p0 and down[j] = pmf(k0-1-j)/p0 by the recurrence
+    pmf(k+1) = pmf(k)*theta/(k+1), every ratio at most 1.
+    """
+    k0 = min(max(int(theta), lo), hi)
+    up = np.cumprod(theta / np.arange(k0 + 1, hi + 1, dtype=np.float64))
+    down = np.cumprod(np.arange(k0, lo, -1, dtype=np.float64) / theta)
+    return poisson_pmf(theta, k0), down, up
 
 
 def _anchored_sum(theta: float, lo: int, hi: int) -> float:
-    """Sum of pmf over [lo, hi] (0.0 when empty), anchored at the in-range mode.
+    """Sum of pmf over [lo, hi] (0.0 when empty); at most TERM_CAP terms.
 
-    The anchor is the count of [lo, hi] nearest int(theta), so a tail piece
-    is anchored at its end nearest the mode and the ratio recurrence
-    pmf(k+1) = pmf(k)*theta/(k+1) walks away from it over decaying terms: a
-    scalar loop summed with math.fsum for fewer than 64 terms (where numpy's
-    per-call overhead exceeds the sum), blocked cumulative products
-    otherwise, so memory stays O(_BLOCK).
+    Fewer than 64 terms (where numpy's per-call overhead exceeds the sum)
+    are one scalar recurrence from the in-range mode.  Longer ranges are
+    consecutive pieces of _BLOCK terms, each its own _run, so a tail piece
+    is anchored at its end nearest the mode and memory stays O(_BLOCK).
+    Both add with math.fsum.  More than TERM_CAP terms raise
+    ResourceLimitError before any is summed.
     """
     if hi < lo:
         return 0.0
+    if hi - lo >= TERM_CAP:
+        raise ResourceLimitError(
+            f"the exact sum at theta={theta!r} has {hi - lo + 1} terms, "
+            f"over the cap of {TERM_CAP}"
+        )
+    if hi - lo >= 64:
+        pieces = []
+        for start in range(lo, hi + 1, _BLOCK):
+            p0, down, up = _run(theta, start, min(start + _BLOCK - 1, hi))
+            pieces.append(p0 * (1.0 + float(up.sum()) + float(down.sum())))
+        return math.fsum(pieces)
     k0 = min(max(int(theta), lo), hi)
-    p0 = poisson_pmf(theta, k0)
-    if p0 == 0.0:
-        return 0.0
-    if hi - lo < 64:
-        terms = [1.0]
-        p = 1.0
-        for k in range(k0 + 1, hi + 1):
-            p *= theta / k
-            terms.append(p)
-        p = 1.0
-        for k in range(k0, lo, -1):
-            p *= k / theta
-            terms.append(p)
-        return p0 * math.fsum(terms)
-    total = 1.0
-    carry = 1.0
-    for start in range(k0 + 1, hi + 1, _BLOCK):
-        stop = min(start + _BLOCK, hi + 1)
-        part, carry = _ratio_sum(theta / np.arange(start, stop, dtype=np.float64), carry)
-        total += part
-    carry = 1.0
-    for start in range(k0, lo, -_BLOCK):
-        stop = max(start - _BLOCK, lo)
-        part, carry = _ratio_sum(np.arange(start, stop, -1, dtype=np.float64) / theta, carry)
-        total += part
-    return p0 * total
+    terms = [1.0]
+    p = 1.0
+    for k in range(k0 + 1, hi + 1):
+        p *= theta / k
+        terms.append(p)
+    p = 1.0
+    for k in range(k0, lo, -1):
+        p *= k / theta
+        terms.append(p)
+    return poisson_pmf(theta, k0) * math.fsum(terms)
 
 
 def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
     """Sum of pmf over the integer window [k_lo, k_hi], by its shorter side.
 
-    The window is clipped to the certified span [lc, uc] of _span, and the
-    term cap applies to the clipped window [lo, hi].  When it holds the
-    mode and has more terms than its complement in the span, the result is
-    1 - mass[lc, lo-1] - mass[hi+1, uc], exactly 1.0 when both pieces are
-    empty; otherwise the window itself is summed.  Each side goes through
-    _anchored_sum.
+    The window is clipped to the certified span [lc, uc] of _span.  When
+    the clipped window [lo, hi] holds the mode and has more terms than its
+    complement in the span, the result is 1 - mass[lc, lo-1] -
+    mass[hi+1, uc], exactly 1.0 when both pieces are empty; otherwise the
+    window itself is summed.  Each side goes through _anchored_sum, whose
+    term cap counts only the terms actually summed.
 
-    Both routes leave out the same certified mass beyond the span, and the
-    recurrence drifts by at most (terms on the shorter side) * 1e-16.  A
-    window holding the mode and over half the span has mass near 1/2 or
-    more, so the complement keeps the direct route's relative accuracy.
+    Both routes leave out the same certified mass beyond the span, and no
+    recurrence drifts by more than 65,536 * 1e-16 relative.  A window
+    holding the mode and over half the span has mass near 1/2 or more, so
+    the complement keeps the direct route's relative accuracy.
     """
     if k_hi < k_lo:
         return 0.0
@@ -254,11 +254,6 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
     lo, hi = max(k_lo, lc), min(k_hi, uc)
     if hi < lo:
         return 0.0  # window lies entirely in certified-negligible tails
-    if hi - lo >= TERM_CAP:
-        raise ResourceLimitError(
-            f"the exact window at theta={theta!r} has {hi - lo + 1} terms, "
-            f"over the cap of {TERM_CAP}"
-        )
     if lo <= int(theta) <= hi and (lo - lc) + (uc - hi) < hi - lo + 1:
         return 1.0 - _anchored_sum(theta, lc, lo - 1) - _anchored_sum(theta, hi + 1, uc)
     return min(_anchored_sum(theta, lo, hi), 1.0)

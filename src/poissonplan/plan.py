@@ -74,9 +74,16 @@ def critical_exponent(budget: ErrorBudget) -> float:
 
     Evaluated as -(epsilon_a/epsilon_r) * ((1+epsilon_r)ln(1+epsilon_r) -
     epsilon_r) through the cancellation-safe h(), rather than through the
-    generic exponent at the divided argument.
+    generic exponent at the divided argument.  Where that product is not
+    finite (epsilon_a/epsilon_r overflows), it is epsilon_a * (h(u)/u) at
+    u = epsilon_r, with the series of h(u)/u below 1e-4, where h underflows.
     """
-    return budget.rel_boundary * _h(budget.epsilon_r)
+    g_c = budget.rel_boundary * _h(budget.epsilon_r)
+    if math.isfinite(g_c):
+        return g_c
+    u = budget.epsilon_r
+    h_over_u = -u * (0.5 - u * (1.0 / 6.0 - u * (1.0 / 12.0 - u * 0.05))) if u < 1e-4 else _h(u) / u
+    return budget.epsilon_a * h_over_u
 
 
 def formula_sample_size(budget: ErrorBudget) -> PlanResult:
@@ -88,13 +95,15 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
     few ulps of an integer, where the larger n is kept; one step suffices
     below 2^52, and above it a double cannot tell n from n + 1.
 
-    Raises ResourceLimitError when the right-hand side overflows a double,
-    including when h(epsilon_r) underflows to 0 (epsilon_r below about
-    2.7e-162).
+    Where the rhs is not finite because h(epsilon_r) underflows to 0
+    (epsilon_r below about 2.7e-162), it is ln(2/delta)/-g_c instead.
+    Raises ResourceLimitError when that too overflows a double.
     """
     g_c = critical_exponent(budget)
     h = _h(budget.epsilon_r)
     rhs = (budget.epsilon_r / budget.epsilon_a) * math.log(2.0 / budget.delta) / -h if h else math.inf
+    if not math.isfinite(rhs) and g_c:  # h underflowed; g_c carries the same ratio
+        rhs = math.log(2.0 / budget.delta) / -g_c
     if not math.isfinite(rhs):
         raise ResourceLimitError(
             f"the closed-form n overflows for epsilon_a={budget.epsilon_a!r}, "

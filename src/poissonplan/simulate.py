@@ -13,7 +13,8 @@ methods, whose streams may change between numpy releases: one inverse-cdf
 lookup per draw, consuming exactly one uniform u and returning the smallest
 k with cdf(k) > u.  The cdf table covers the exact module's certified span
 theta -+ (10*sqrt(theta) + 35), outside which less than 1e-16 of the mass
-lies on either side, and is built once per mean; a guide index over u
+lies on either side; its pmf is one run of the exact window kernel
+(exact._run), and it is built once per mean.  A guide index over u
 finds each count in about one step.  A scalar draw is the same lookup as a
 block of one.  The table is capped at TABLE_CAP entries (means up to about
 2.7e9); larger means raise ResourceLimitError, which the command line
@@ -34,7 +35,7 @@ from .budget import ErrorBudget
 from .errors import (
     ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
 )
-from .exact import THETA_MAX, _span, coverage_window, poisson_pmf
+from .exact import THETA_MAX, _run, _span, coverage_window
 
 TRIALS_CAP = 10**9
 GENERATOR_ID = "philox4x64:block65536:guide-inversion:v2"
@@ -77,9 +78,9 @@ class SimResult:
 def _table(theta: float) -> Tuple[int, np.ndarray, np.ndarray]:
     """(first, cum, guide): the cdf table of Poisson(theta) over its certified span.
 
-    cum[j] is the cdf at count first + j, anchored at the in-span mode
-    with the saddle-point pmf and extended by the ratio recurrence
-    pmf(k+1) = pmf(k)*theta/(k+1), as the exact window kernel does.  It
+    cum[j] is the cdf at count first + j, from the pmf of exact._run over
+    the span: the saddle-point pmf at the in-span mode, extended by the
+    ratio recurrence, as in the exact window kernel's sums.  It
     ends with an inf sentinel, so a lookup past the table's mass (below
     1e-16) returns the first count after the table.  guide[c] is the number
     of entries <= c/len(guide); its length is a power of two, so
@@ -93,10 +94,8 @@ def _table(theta: float) -> Tuple[int, np.ndarray, np.ndarray]:
             f"the sampler's cdf table at theta={theta!r} needs more than "
             f"TABLE_CAP = {TABLE_CAP} entries (theta above about 2.7e9)"
         )
-    k0 = min(max(int(theta), lo), hi)
-    up = np.cumprod(theta / np.arange(k0 + 1, hi + 1, dtype=np.float64))
-    down = np.cumprod(np.arange(k0, lo, -1, dtype=np.float64) / theta)
-    pmf = poisson_pmf(theta, k0) * np.concatenate((down[::-1], [1.0], up))
+    p0, down, up = _run(theta, lo, hi)
+    pmf = p0 * np.concatenate((down[::-1], [1.0], up))
     cum = np.append(np.cumsum(pmf), np.inf)
     m = 1 << (4 * (hi - lo) + 3).bit_length()  # a power of two >= 4 * table entries
     guide = np.searchsorted(cum, np.arange(m) / m, side="right").astype(np.int32)

@@ -198,15 +198,16 @@ class TestVerify:
         assert "domain" in err
         assert out == ""
 
-    def test_window_over_term_cap_exits_2(self, capsys):
-        # theta = 1.5e13 is inside the domain, but its certified window has
-        # more terms than the kernel sums.
-        code, _, err = run_cli(
+    def test_window_covering_span_past_term_cap_answers_one(self, capsys):
+        # theta = 1.52e13: the window covers the certified span of 7.8e7
+        # terms, more than the term cap, but its complement in the span is
+        # empty, so nothing is summed.
+        report = run_json(
             capsys, "verify", "--n", "762", "--lambda", "2e10",
             "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
         )
-        assert code == 2
-        assert "cap" in err
+        assert report["results"]["coverage"] == 1.0
+        assert report["results"]["pass"] is True
 
     def test_monte_carlo_over_table_cap_exits_2(self, capsys):
         # theta = 7.62e9: exact coverage is computable, but the sampler's cdf
@@ -350,6 +351,17 @@ class TestBound:
             capsys, "bound", "--theta", "1e12", "--r", "1.000001e12", "--side", "upper", "--exact"
         )
         assert report["results"]["exact"] == pytest.approx(0.15865537491679918, rel=1e-12)
+
+    def test_summed_tail_over_term_cap_exits_2(self, capsys):
+        # The upper tail from theta + 1 at theta = 5e13 has about 7.07e7
+        # terms to sum, more than the term cap of 2^26.
+        code, out, err = run_cli(
+            capsys, "bound", "--theta", "5e13", "--r", "50000000000001",
+            "--side", "upper", "--exact",
+        )
+        assert code == 2
+        assert "cap" in err
+        assert out == ""
 
     def test_upper_with_exact(self, capsys):
         report = run_json(

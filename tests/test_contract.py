@@ -8,9 +8,11 @@ with exit 2 that names the offending flag.
 
 import contextlib
 import io
+import json
 import math
 import re
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,27 @@ HALF_DELTA_ZERO = [
 def test_delta_halving_to_zero_is_a_resource_limit_naming_delta(call):
     with pytest.raises(ResourceLimitError, match="delta=5e-324"):
         call()
+
+
+# epsilon_a/epsilon_r past the double range: the critical exponent is
+# epsilon_a * (h(epsilon_r)/epsilon_r), finite and < 0, and where h(epsilon_r)
+# underflows the rhs is ln(2/delta)/-g_c.
+RATIO_OVERFLOW_BUDGETS = [("1.7e308", "0.5", "0.5", 1), ("1e300", "1e-10", "0.05", 1),
+                          ("1e300", "1e-300", "0.05", 8)]
+
+
+@pytest.mark.parametrize("eps_a, eps_r, delta, n", RATIO_OVERFLOW_BUDGETS)
+def test_size_where_the_tolerance_ratio_overflows(eps_a, eps_r, delta, n):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["size", "--eps-a", eps_a, "--eps-r", eps_r, "--delta", delta])
+    assert code == 0, err.getvalue()
+    results = json.loads(out.getvalue())["results"]
+    with mpmath.workdps(700):  # (1+r)ln(1+r) - r cancels to r^2/2 at r = 1e-300
+        a, r = mpmath.mpf(eps_a), mpmath.mpf(eps_r)
+        g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
+    assert results["critical_exponent"] == pytest.approx(float(g_c), rel=1e-14)
+    assert results["n"] == n
 
 
 EXTREMES = [5e-324, 1e-300, 1e-10, 0.5, 1.0, 1e10, 1e300, 1.7e308]

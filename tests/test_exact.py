@@ -22,6 +22,7 @@ from poissonplan import (
     tail_bound_abs,
     tail_bound_rel,
 )
+from poissonplan import exact
 from poissonplan.exact import (
     TERM_CAP,
     THETA_MAX,
@@ -417,15 +418,32 @@ class TestWindowMassInternals:
             ref = float(cdf_gamma_ref(theta, hi) - cdf_gamma_ref(theta, lo - 1))
             assert _window_mass(theta, lo, hi) == pytest.approx(ref, rel=1e-13, abs=1e-16)
 
-    def test_term_cap_and_domain_raise_before_summing(self):
-        theta = 1.4e13  # certified window of about 7.5e7 terms
+    def test_term_cap_and_domain_raise_before_summing(self, monkeypatch):
+        # The cap counts the terms a side sums, not the window: the upper
+        # tail from theta + 1 at theta = 5e13 has about 7.07e7 terms to sum.
+        monkeypatch.setattr(exact, "_run", lambda *args: pytest.fail("summed"))
         with pytest.raises(ResourceLimitError, match="cap"):
-            _window_mass(theta, 0, 2 * int(theta))
+            _window_mass(5e13, 50_000_000_000_001, 10**15)
         assert TERM_CAP >= 2**26
         for theta in (THETA_MAX * 2.0, math.inf):
             with pytest.raises(ResourceLimitError, match="domain"):
                 _window_mass(theta, 0, 10)
         assert _window_mass(math.inf, 10, 9) == 0.0  # empty windows need no theta
+
+    @pytest.mark.parametrize("theta", [1.5e13, THETA_MAX])
+    def test_window_covering_span_past_term_cap_is_one(self, theta):
+        # The span has more terms than TERM_CAP, but its complement is empty.
+        lc, uc = _span(theta)
+        assert uc - lc >= TERM_CAP
+        assert _window_mass(theta, lc, uc) == 1.0
+        assert _window_mass(theta, 0, 2 * uc) == 1.0
+
+    def test_half_tail_at_1e11_matches_mpmath(self):
+        # About 3.2e6 terms above the mode, in anchored pieces of 65,536.
+        theta = 1e11
+        ref = 1 - cdf_gamma_ref(theta, int(theta))
+        got = _window_mass(theta, int(theta) + 1, _span(theta)[1])
+        assert got == pytest.approx(float(ref), abs=2e-15)
 
     def test_mean_past_double_range_is_outside_domain(self):
         # n*lam with n = 10**400 cannot be formed as a double at all.

@@ -153,7 +153,7 @@ class TestScalarSampler:
         assert abs(draws.mean() - 5.0) <= 3.0 * math.sqrt(5.0 / 1e6)
         assert abs(draws.var() - 5.0) <= 0.05 * 5.0
 
-    def test_rejection_path_moments(self):
+    def test_moments_when_table_starts_above_zero(self):
         stream = _stream(88)
         draws = np.array([poisson_sampler(200.0, stream) for _ in range(100_000)])
         assert abs(draws.mean() - 200.0) <= 3.0 * math.sqrt(200.0 / 1e5)
@@ -230,9 +230,12 @@ class TestBlockSamplerDistribution:
         p_value = float(sps.chi2.sf(stat, len(bins) - 1))
         assert p_value > 1e-6
 
-    def test_switchover_continuity(self):
-        # Means just below and above the inversion/rejection switch give
-        # plausible moments from both code paths.
-        for theta in (29.5, 30.5):
+    def test_continuity_across_span_seams(self):
+        # The table's first count lc leaves 0 at theta = -ln(1e-16) = 36.84.
+        # It stays clamped at 1 while the lower guess theta - 10 sqrt(theta)
+        # - 35 is below 1 (it crosses 0 near 162.5), and is 2 from 164.1.
+        # Means either side of each seam give plausible moments.
+        assert [_span(t)[0] for t in (36.8, 36.9, 160.0, 165.0)] == [0, 1, 1, 2]
+        for theta in (36.8, 36.9, 160.0, 165.0):
             ks = _sample_poisson_block(theta, _stream(303), 200_000)
             assert abs(ks.mean() - theta) <= 3.0 * math.sqrt(theta / 2e5)
