@@ -1,9 +1,10 @@
 """Command-line front end: size, verify, scan, and bound subcommands.
 
 Reports are JSON by default (text with --format text) and echo the parsed
-inputs so a report is sufficient to reproduce itself.  All floats are
-serialized with 17 significant digits, so parsing a report recovers every
-value bit-exactly.
+inputs so a report is sufficient to reproduce itself.  One rule writes every
+float, in JSON, text and the scan CSV alike: its shortest round-trip repr
+(``json.dumps`` for the report), so parsing a report recovers every value
+bit-exactly.  A non-finite value is refused in every format.
 
 Exit codes: 0 success, 2 usage/parameter error or resource limit, 3 internal
 numeric failure (including a non-finite report value), 4 I/O failure.
@@ -48,38 +49,6 @@ _FLAG_OF = {
 }
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ArithmeticError(f"non-finite value in report: {x!r}")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
-
-
-def _to_json(obj) -> str:
-    """Compact JSON with floats at 17 significant digits (lossless)."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(str(obj))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(
-            json.dumps(str(k)) + ": " + _to_json(v) for k, v in obj.items()
-        ) + "}"
-    raise TypeError(f"unserializable value in report: {obj!r}")
-
-
 def _render_text(obj, indent: str = "") -> str:
     """Human-oriented rendering; not schema-stable."""
     lines = []
@@ -89,22 +58,16 @@ def _render_text(obj, indent: str = "") -> str:
                 lines.append(f"{indent}{key}:")
                 lines.append(_render_text(value, indent + "  "))
             else:
-                lines.append(f"{indent}{key} = {_scalar_text(value)}")
+                lines.append(f"{indent}{key} = {value}")
     elif isinstance(obj, (list, tuple)):
         for value in obj:
             if isinstance(value, (dict, list, tuple)):
                 lines.append(_render_text(value, indent + "  "))
             else:
-                lines.append(f"{indent}- {_scalar_text(value)}")
+                lines.append(f"{indent}- {value}")
     else:
-        lines.append(f"{indent}{_scalar_text(obj)}")
+        lines.append(f"{indent}{obj}")
     return "\n".join(line for line in lines if line)
-
-
-def _scalar_text(value) -> str:
-    if isinstance(value, float):
-        return _format_float(value)
-    return str(value)
 
 
 def _envelope(command: str, inputs: dict, results: dict, warnings: list) -> dict:
@@ -232,18 +195,11 @@ def _write_scan_csv(path: str, rows: list) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("lambda,case,k_min,k_max,coverage,margin\n")
         for row in rows:
+            lam, coverage, margin = row["lambda"], row["coverage"], row["margin"]
+            if not all(map(math.isfinite, (lam, coverage, margin))):
+                raise ArithmeticError(f"non-finite value in report row: {row!r}")
             handle.write(
-                ",".join(
-                    (
-                        _format_float(row["lambda"]),
-                        row["case"],
-                        str(row["k_min"]),
-                        str(row["k_max"]),
-                        _format_float(row["coverage"]),
-                        _format_float(row["margin"]),
-                    )
-                )
-                + "\n"
+                f"{lam!r},{row['case']},{row['k_min']},{row['k_max']},{coverage!r},{margin!r}\n"
             )
 
 
@@ -353,10 +309,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         envelope = args.handler(args)
-        if args.format == "text":
-            print(_render_text(envelope))
-        else:
-            print(_to_json(envelope))
+        try:  # also the finiteness check for every format
+            report = json.dumps(envelope, allow_nan=False)
+        except ValueError as exc:
+            raise ArithmeticError(f"non-finite value in report ({exc})") from None
+        print(_render_text(envelope) if args.format == "text" else report)
     except ParameterError as exc:
         flag = _FLAG_OF.get(exc.param, exc.param)
         print(f"poissonplan {args.command}: error: {flag}: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ textbook normal-approximation baseline for comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import List, Optional, Sequence
@@ -75,11 +76,12 @@ def critical_exponent(budget: ErrorBudget) -> float:
     Evaluated as -(epsilon_a/epsilon_r) * ((1+epsilon_r)ln(1+epsilon_r) -
     epsilon_r) through the cancellation-safe h(), rather than through the
     generic exponent at the divided argument.  Where that product is not
-    finite (epsilon_a/epsilon_r overflows), it is epsilon_a * (h(u)/u) at
-    u = epsilon_r, with the series of h(u)/u below 1e-4, where h underflows.
+    finite or h(epsilon_r) is not a normal double (epsilon_r < ~2.1e-154), it
+    is epsilon_a * (h(u)/u) at u = epsilon_r, with the series of h(u)/u below 1e-4.
     """
-    g_c = budget.rel_boundary * _h(budget.epsilon_r)
-    if math.isfinite(g_c):
+    h = _h(budget.epsilon_r)
+    g_c = budget.rel_boundary * h
+    if math.isfinite(g_c) and -h >= sys.float_info.min:
         return g_c
     u = budget.epsilon_r
     h_over_u = -u * (0.5 - u * (1.0 / 6.0 - u * (1.0 / 12.0 - u * 0.05))) if u < 1e-4 else _h(u) / u
@@ -95,14 +97,15 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
     few ulps of an integer, where the larger n is kept; one step suffices
     below 2^52, and above it a double cannot tell n from n + 1.
 
-    Where the rhs is not finite because h(epsilon_r) underflows to 0
-    (epsilon_r below about 2.7e-162), it is ln(2/delta)/-g_c instead.
+    Where h(epsilon_r) is not a normal double (epsilon_r below about
+    2.1e-154) or the rhs overflows, it is ln(2/delta)/-g_c instead.
     Raises ResourceLimitError when that too overflows a double.
     """
     g_c = critical_exponent(budget)
     h = _h(budget.epsilon_r)
-    rhs = (budget.epsilon_r / budget.epsilon_a) * math.log(2.0 / budget.delta) / -h if h else math.inf
-    if not math.isfinite(rhs) and g_c:  # h underflowed; g_c carries the same ratio
+    normal = -h >= sys.float_info.min
+    rhs = (budget.epsilon_r / budget.epsilon_a) * math.log(2.0 / budget.delta) / -h if normal else math.inf
+    if not math.isfinite(rhs) and g_c:  # g_c carries the same ratio without h's rounding
         rhs = math.log(2.0 / budget.delta) / -g_c
     if not math.isfinite(rhs):
         raise ResourceLimitError(

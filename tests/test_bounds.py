@@ -1,7 +1,6 @@
 """Tests for the exponent function and the Chernoff-type tail bounds."""
 
 import math
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -264,14 +263,16 @@ class TestMeanDeviationBounds:
         q=st.floats(min_value=1e-4, max_value=0.99),
     )
     @settings(max_examples=60)
-    @example(n=271, lam=16.5, q=0.625)  # rel = 4.1426e-319, a subnormal
+    @example(n=271, lam=16.5, q=0.625)  # rel = 4.1426e-319, about 16 bits
+    @example(n=265, lam=16.5, q=0.62109375)  # rel = 1.81e-308, about 51 bits
+    @example(n=200, lam=33.5, q=0.494140625)  # just below the smallest normal too
     def test_rel_equals_abs_at_scaled_deviation(self, n, lam, q):
         rel = tail_bound_rel(n, lam, q, "upper")
         ref = float(mpf_of(n) * g_ref(q * lam, lam))
-        if math.exp(ref) < sys.float_info.min:
-            # A subnormal carries fewer than 53 bits, so its log can miss the
-            # exponent by more than 1e-9 relative; compare values instead,
-            # to within a few subnormal spacings of 5e-324.
+        if math.exp(ref) < 2.0**-1050:
+            # Below 2^-1050 a subnormal carries fewer than 24 bits, so its
+            # log can miss the exponent by more than 1e-9 relative; compare
+            # values instead, to within a few subnormal spacings of 5e-324.
             assert abs(rel - math.exp(ref)) <= 4 * 5e-324
             return
         assert math.log(rel) == pytest.approx(ref, rel=1e-9, abs=1e-12)

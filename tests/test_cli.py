@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -299,6 +300,42 @@ class TestScan:
         assert "GRID_CAP = 8" in err
         assert out == ""
 
+    def test_csv_cells_equal_embedded_rows(self, capsys, tmp_path):
+        argv = ["scan", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+                "--grid-points", "30", "--lambda-min", "1e-3", "--lambda-max", "1e3"]
+        rows = run_json(capsys, *argv)["results"]["points"]
+        out_csv = tmp_path / "scan.csv"
+        run_json(capsys, *argv, "--out", str(out_csv))
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "lambda,case,k_min,k_max,coverage,margin"
+        assert len(lines) - 1 == len(rows)
+        for line, row in zip(lines[1:], rows):
+            lam, case, k_min, k_max, coverage, margin = line.split(",")
+            assert (float(lam), case, int(k_min), int(k_max), float(coverage), float(margin)) == (
+                row["lambda"], row["case"], row["k_min"], row["k_max"],
+                row["coverage"], row["margin"],
+            )
+
+    def test_non_finite_csv_cell_exits_3(self, capsys, monkeypatch, tmp_path):
+        # --out rows never pass through the JSON encoder, so the CSV writer
+        # refuses a non-finite cell itself.  Only the last coverage is nan,
+        # so the worst margin, which the report does carry, stays finite.
+        real_scan = cli.scan_coverage
+
+        def scan_with_nan(n, budget, grid):
+            points = real_scan(n, budget, grid)
+            return points[:-1] + [dataclasses.replace(points[-1], coverage=math.nan)]
+
+        monkeypatch.setattr(cli, "scan_coverage", scan_with_nan)
+        code, out, err = run_cli(
+            capsys, "scan", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+            "--grid-points", "3", "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == 3
+        assert "numeric failure" in err
+        assert "non-finite" in err
+        assert out == ""
+
     def test_unwritable_output_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys, "scan", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
@@ -329,6 +366,17 @@ class TestBound:
         monkeypatch.setattr(cli, "chernoff_log_bound", lambda theta, r: math.nan)
         code, out, err = run_cli(
             capsys, "bound", "--theta", "1", "--r", "2", "--side", "upper"
+        )
+        assert code == 3
+        assert "numeric failure" in err
+        assert "non-finite" in err
+        assert out == ""
+
+    def test_non_finite_text_report_exits_3(self, capsys, monkeypatch):
+        # The JSON encoder checks every value before either format prints.
+        monkeypatch.setattr(cli, "chernoff_log_bound", lambda theta, r: math.nan)
+        code, out, err = run_cli(
+            capsys, "bound", "--theta", "1", "--r", "2", "--side", "upper", "--format", "text"
         )
         assert code == 3
         assert "numeric failure" in err
@@ -452,13 +500,27 @@ class TestReportContract:
         assert report["results"]["rhs"] == expected.rhs  # bit-exact after parsing
         assert report["results"]["critical_exponent"] == expected.critical_exponent
 
-    def test_seventeen_digit_serialization(self, capsys):
+    def test_shortest_round_trip_serialization(self, capsys):
+        # exp(-1) needs all 17 significant digits to round-trip.
         code, out, _ = run_cli(
             capsys, "verify", "--n", "1", "--lambda", "1",
             "--eps-a", "1", "--eps-r", "0.5", "--delta", "0.05",
         )
         assert code == 0
         assert "0.36787944117144233" in out
+
+    @pytest.mark.parametrize(
+        "fmt, text", [("json", '"threshold": 0.95,'), ("text", "threshold = 0.95\n")]
+    )
+    def test_threshold_prints_shortest_repr(self, capsys, fmt, text):
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "762", "--lambda", "1",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05", "--format", fmt,
+        )
+        assert code == 0
+        assert text in out
+        if fmt == "json":
+            assert json.loads(out)["results"]["threshold"] == 1.0 - 0.05
 
 
 class TestInstalledEntryPoint:

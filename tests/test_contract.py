@@ -169,11 +169,14 @@ def test_delta_halving_to_zero_is_a_resource_limit_naming_delta(call):
         call()
 
 
-# epsilon_a/epsilon_r past the double range: the critical exponent is
-# epsilon_a * (h(epsilon_r)/epsilon_r), finite and < 0, and where h(epsilon_r)
-# underflows the rhs is ln(2/delta)/-g_c.
+# epsilon_a/epsilon_r past the double range, or h(epsilon_r) not a normal
+# double (the last row, where h underflows to 0 but the ratio is 1e300): the
+# critical exponent is epsilon_a * (h(epsilon_r)/epsilon_r), finite and < 0,
+# and where h(epsilon_r) is not normal the rhs is ln(2/delta)/-g_c.  The last
+# n is mpmath's floor(ln(40)/-g_c) + 1, about 7.38e100.
 RATIO_OVERFLOW_BUDGETS = [("1.7e308", "0.5", "0.5", 1), ("1e300", "1e-10", "0.05", 1),
-                          ("1e300", "1e-300", "0.05", 8)]
+                          ("1e300", "1e-300", "0.05", 8),
+                          ("1e100", "1e-200", "0.05", 7.377758908227872e100)]
 
 
 @pytest.mark.parametrize("eps_a, eps_r, delta, n", RATIO_OVERFLOW_BUDGETS)
@@ -187,7 +190,7 @@ def test_size_where_the_tolerance_ratio_overflows(eps_a, eps_r, delta, n):
         a, r = mpmath.mpf(eps_a), mpmath.mpf(eps_r)
         g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
     assert results["critical_exponent"] == pytest.approx(float(g_c), rel=1e-14)
-    assert results["n"] == n
+    assert results["n"] == pytest.approx(n, rel=1e-14)
 
 
 EXTREMES = [5e-324, 1e-300, 1e-10, 0.5, 1.0, 1e10, 1e300, 1.7e308]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -98,12 +99,24 @@ class TestFormulaSampleSize:
 
     @pytest.mark.parametrize(
         "eps_a, eps_r",
-        [(1e-300, 1e-300), (0.1, 1e-170), (5e-324, 0.9)],
+        [(1e-300, 1e-300), (5e-324, 0.9)],
     )
     def test_unrepresentable_rule_raises_resource_limit(self, eps_a, eps_r):
-        # h(eps_r) underflows to 0, or the right-hand side overflows.
+        # The critical exponent itself underflows to 0.
         with pytest.raises(ResourceLimitError):
             formula_sample_size(ErrorBudget(eps_a, eps_r, 0.05))
+
+    @pytest.mark.parametrize("eps_a, eps_r", [(0.1, 1e-170), (0.1, 1e-160)])
+    def test_rule_where_h_is_not_normal_matches_mpmath(self, eps_a, eps_r):
+        # h(eps_r) is 0 or subnormal while eps_a/eps_r stays finite: the
+        # exponent and n (up to 7.4e171) are still representable.
+        res = formula_sample_size(ErrorBudget(eps_a, eps_r, 0.05))
+        with mpmath.workdps(700):
+            a, r = mpmath.mpf(eps_a), mpmath.mpf(eps_r)
+            g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
+            n = int(mpmath.floor(mpmath.log(40) / -g_c)) + 1
+        assert res.critical_exponent == pytest.approx(float(g_c), rel=1e-14)
+        assert res.n == pytest.approx(n, rel=1e-14)
 
     def test_doubling_eps_a_exactly_halves_rhs(self):
         for er, d in [(0.1, 0.05), (0.5, 0.2), (0.9, 0.01)]:
