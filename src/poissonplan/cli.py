@@ -13,6 +13,7 @@ numeric failure (including a non-finite report value), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -233,6 +234,7 @@ def _cmd_bound(args) -> dict:
     return _envelope("bound", inputs, results, warnings)
 
 
+@functools.lru_cache(maxsize=None)  # parse_args leaves it unchanged, so every main call shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poissonplan",

@@ -14,10 +14,10 @@ boundary between the absolute- and relative-tolerance regimes.
 
 The closed form is conservative; ``min_sample_size_exact`` searches for the
 smallest n whose *exact* coverage clears 1 - delta at every mean of an
-explicit grid.  It scans n upward from 1, trying the means nearest the
-regime boundary first, so a failing n usually costs one window evaluation;
-SEARCH_CAP bounds the scan.  ``normal_approx_sample_size`` provides the
-textbook normal-approximation baseline for comparison.
+explicit grid.  It scans n upward from 1 over the means nearest the regime
+boundary first, so a failing n usually costs one window evaluation, and a
+later mean the paper's Chernoff bounds certify costs none; SEARCH_CAP bounds
+the scan.  ``normal_approx_sample_size`` is the normal-approximation baseline.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _h
+from .bounds import _h, chernoff_log_bound
 from .budget import ErrorBudget
 from .errors import (
     ParameterError,
@@ -40,7 +40,9 @@ from .errors import (
     check_unit_interval,
     scaled,
 )
-from .exact import CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
+from .exact import (
+    THETA_MAX, CoveragePoint, _span, _window_at, _window_mass, _window_ratios, exact_coverage
+)
 
 # Largest n the exact search tries.  The scan spends at least one window
 # evaluation on every n below its answer, and the closed-form n grows like
@@ -50,6 +52,7 @@ SEARCH_CAP = 2**20
 # Most log-spaced points lambda_grid builds; more raise ResourceLimitError
 # before any allocation (each point costs 8 bytes and one exact evaluation).
 GRID_CAP = 2**20
+SCREEN_DELTA_MIN = 1e-9  # smallest delta the exact search screens at (min_sample_size_exact)
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,13 @@ def min_sample_size_exact(
 
     The closed-form n meets the guarantee at every mean, so the scan stops
     at or below it without evaluating its wide windows.
+    Past the first mean, at delta >= SCREEN_DELTA_MIN and theta = n*lam <=
+    THETA_MAX (the kernel raises beyond), a mean with L + U <= delta/2 passes
+    unsummed: as k_min - 1 < theta < k_max + 1, L = exp(chernoff_log_bound(theta,
+    k_min - 1)) (0 at k_min = 0) bounds Pr{K < k_min} and U, the same at the
+    finite r = min(k_max + 1, uc + 1), uc from _span, bounds Pr{K > k_max}.  So
+    coverage >= 1 - delta/2, and the kernel, off by under 1e-11 (65,536 * 1e-16
+    per piece, 1e-16 per side; 1/50 of delta/2 at the floor), passes it too.
     Raises ResourceLimitError once the scan would try an n above
     SEARCH_CAP.  The result is a statement about the supplied grid only -
     means outside it are not checked.
@@ -214,13 +224,17 @@ def min_sample_size_exact(
     ratios = [_window_ratios(lam, budget) for lam in lams]
 
     target = 1.0 - budget.delta
+    half, screen = budget.delta / 2.0, budget.delta >= SCREEN_DELTA_MIN
     log_boundary = math.log(budget.rel_boundary)
     order = sorted(range(len(lams)), key=lambda i: abs(math.log(lams[i]) - log_boundary))
 
     def ok(n: int) -> bool:
         for pos, idx in enumerate(order):
+            theta = n * lams[idx]
             k_min, k_max = _window_at(n, ratios[idx])
-            if _window_mass(n * lams[idx], k_min, k_max) < target:
+            if pos and screen and theta <= THETA_MAX and _screened(theta, k_min, k_max, half):
+                continue
+            if _window_mass(theta, k_min, k_max) < target:
                 order.insert(0, order.pop(pos))
                 return False
         return True
@@ -235,6 +249,12 @@ def min_sample_size_exact(
                 f"the closed-form n is about {base.rhs:.3g}"
             )
     return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")
+
+
+def _screened(theta: float, k_min: int, k_max: int, half: float) -> bool:
+    """Whether Chernoff bounds prove Pr{k_min <= K <= k_max} >= 1 - half (min_sample_size_exact)."""
+    low = math.exp(chernoff_log_bound(theta, k_min - 1)) if k_min else 0.0
+    return low + math.exp(chernoff_log_bound(theta, min(k_max + 1, _span(theta)[1] + 1))) <= half
 
 
 def normal_quantile(p: float) -> float:

@@ -523,6 +523,50 @@ class TestReportContract:
             assert json.loads(out)["results"]["threshold"] == 1.0 - 0.05
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    VERIFY = ["verify", "--n", "50", "--lambda", "0.9", "--eps-a", "0.2",
+              "--eps-r", "0.3", "--delta", "0.1"]
+    SCAN = ["scan", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+            "--grid-points", "5", "--lambda-min", "0.5", "--lambda-max", "2"]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_mc_block_does_not_carry_over(self, capsys):
+        first = run_json(capsys, *self.VERIFY, "--mc-trials", "1000", "--seed", "2")
+        second = run_json(capsys, *self.VERIFY)
+        assert first["results"]["mc"]["trials"] == 1000
+        assert "mc" not in second["results"]
+        assert second["inputs"]["mc_trials"] is None
+        assert second["inputs"]["seed"] == 0
+
+    def test_out_does_not_carry_over(self, capsys, tmp_path):
+        path = str(tmp_path / "scan.csv")
+        first = run_json(capsys, *self.SCAN, "--out", path)
+        second = run_json(capsys, *self.SCAN)
+        assert first["results"]["csv"] == path and "points" not in first["results"]
+        assert second["inputs"]["out"] is None and "csv" not in second["results"]
+        assert len(second["results"]["points"]) == second["results"]["rows"]
+
+    def test_parse_error_after_success_exits_2(self, capsys):
+        run_json(capsys, *self.VERIFY)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--n", "50", "--lambda", "0.9"])
+        assert excinfo.value.code == 2
+        assert "--eps-a" in capsys.readouterr().err
+        assert run_json(capsys, *self.VERIFY)["command"] == "verify"
+
+    def test_version_after_success(self, capsys):
+        run_json(capsys, *self.VERIFY)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--version"])
+            assert excinfo.value.code == 0
+            assert capsys.readouterr().out.strip() == f"poissonplan {__version__}"
+
+
 class TestInstalledEntryPoint:
     def test_console_script(self):
         import subprocess

@@ -14,6 +14,7 @@ from poissonplan import (
     ParameterError,
     ResourceLimitError,
     case_of,
+    coverage_window,
     critical_exponent,
     default_lambda_grid,
     exact_coverage,
@@ -27,8 +28,9 @@ from poissonplan import (
     scan_coverage,
 )
 from poissonplan import plan
+from poissonplan.bounds import chernoff_log_bound
 
-from _oracles import min_n_grid_ref, normal_quantile_ref
+from _oracles import coverage_ref, min_n_grid_ref, normal_quantile_ref
 
 RHS_A = 761.97660540300205   # eps_a = eps_r = 0.1, delta = 0.05
 RHS_B = 380.98830270150103   # eps_a = 0.2, eps_r = 0.1, delta = 0.05
@@ -366,16 +368,24 @@ class TestMinSampleSizeExact:
             min_sample_size_exact(budget)
 
     @given(
-        ea=st.floats(min_value=0.05, max_value=0.3),
-        er=st.floats(min_value=0.05, max_value=0.3),
-        d=st.floats(min_value=0.02, max_value=0.2),
+        eps=st.one_of(
+            st.tuples(st.floats(min_value=0.05, max_value=0.3),
+                      st.floats(min_value=0.05, max_value=0.3),
+                      st.floats(min_value=0.02, max_value=0.2)),
+            # Both sides of the Chernoff screen's floor, plan.SCREEN_DELTA_MIN = 1e-9,
+            # with tolerances that keep the answers near 1000 to 3000.
+            st.tuples(st.floats(min_value=0.15, max_value=0.3),
+                      st.floats(min_value=0.15, max_value=0.3),
+                      st.floats(min_value=1e-12, max_value=1e-8)),
+        ),
         octaves=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=8),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force_in_any_order(self, ea, er, d, octaves, data):
-        # Means within 3 octaves of the regime boundary: answers of about 10 to 1000.
-        budget = ErrorBudget(ea, er, d)
+    def test_matches_brute_force_in_any_order(self, eps, octaves, data):
+        # Means within 3 octaves of the regime boundary: answers of about 10 to 1000
+        # at delta >= 0.02.
+        budget = ErrorBudget(*eps)
         grid = [budget.rel_boundary * 2.0**u for u in octaves]
         n_ref = min_n_grid_ref(budget, grid)
         assert min_sample_size_exact(budget, grid=grid).n == n_ref
@@ -392,6 +402,99 @@ class TestMinSampleSizeExact:
             with pytest.raises(ParameterError) as excinfo:
                 min_sample_size_exact(budget, grid=[1.0, bad])
             assert excinfo.value.param == "grid"
+
+
+class TestChernoffScreen:
+    """The exact search passes a mean unsummed where Chernoff bounds certify it."""
+
+    @given(
+        ea=st.floats(min_value=1e-3, max_value=1.0),
+        er=st.floats(min_value=0.01, max_value=0.9),
+        log_d=st.floats(min_value=-12.0, max_value=math.log10(0.6)),
+        frac=st.floats(min_value=0.2, max_value=2.0),
+        octave=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @example(ea=0.1, er=0.1, log_d=math.log10(0.05), frac=0.5, octave=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_window_covers_one_minus_half_delta(self, ea, er, log_d, frac, octave):
+        budget = ErrorBudget(ea, er, 10.0**log_d)
+        n = max(1, int(frac * formula_sample_size(budget).n))
+        lam = budget.rel_boundary * 2.0**octave
+        k_min, k_max = coverage_window(n, lam, budget)
+        if plan._screened(n * lam, k_min, k_max, budget.delta / 2.0):
+            assert exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta / 2.0 - 1e-12
+
+    @pytest.mark.parametrize("lam", [0.011, 0.1, 0.3, 5.0])
+    def test_accepted_windows_against_mpmath(self, lam):
+        # Canonical budget at its answer n = 381; each mean is one the screen accepts.
+        budget, n = ErrorBudget(0.1, 0.1, 0.05), EXACT_MIN_N_CANONICAL
+        theta = n * lam
+        k_min, k_max = coverage_window(n, lam, budget)
+        assert plan._screened(theta, k_min, k_max, 0.025)
+        bound = math.exp(chernoff_log_bound(theta, k_min - 1)) if k_min else 0.0
+        bound += math.exp(chernoff_log_bound(theta, k_max + 1))
+        assert 1 - coverage_ref(n, lam, 0.1, 0.1) <= bound <= 0.025
+        assert not plan._screened(theta, k_min, k_max, bound * (1.0 - 1e-9))
+
+    def test_search_skips_only_certified_means(self, monkeypatch):
+        budget = ErrorBudget(0.1, 0.1, 0.05)
+        screened = plan._screened
+        accepted = []
+
+        def recorded(theta, k_min, k_max, half):
+            assert half == budget.delta / 2.0
+            ok = screened(theta, k_min, k_max, half)
+            if ok:
+                accepted.append((theta, k_min, k_max))
+            return ok
+
+        monkeypatch.setattr(plan, "_screened", recorded)
+        assert min_sample_size_exact(budget).n == EXACT_MIN_N_CANONICAL
+        assert len(accepted) > 100
+        for theta, k_min, k_max in accepted:
+            assert plan._window_mass(theta, k_min, k_max) >= 1.0 - budget.delta / 2.0
+
+    @pytest.mark.parametrize(
+        "budget, cap",
+        [(ErrorBudget(0.1, 0.1, 0.05), 420), (ErrorBudget(0.01, 0.05, 0.01), 13_300)],
+    )
+    def test_kernel_sums_per_search(self, monkeypatch, budget, cap):
+        # Without the screen: 587 and 13,435 sums.
+        calls = []
+        kernel = plan._window_mass
+
+        def counted(theta, k_min, k_max):
+            calls.append(theta)
+            return kernel(theta, k_min, k_max)
+
+        monkeypatch.setattr(plan, "_window_mass", counted)
+        min_sample_size_exact(budget)
+        assert len(calls) <= cap
+
+    @pytest.mark.parametrize("delta, n", [(1e-9, 3761), (1e-12, 5141), (1e-17, 7091)])
+    def test_tiny_delta_at_and_below_the_floor(self, monkeypatch, delta, n):
+        budget = ErrorBudget(0.1, 0.1, delta)
+        assert min_sample_size_exact(budget).n == n
+        monkeypatch.setattr(plan, "SCREEN_DELTA_MIN", 1.0)  # no screen at any delta
+        assert min_sample_size_exact(budget).n == n
+
+    def test_small_grid_matches_brute_force(self):
+        budget = ErrorBudget(0.1, 0.1, 0.05)
+        grid = [0.01, 0.3, 0.9, 1.0, 1.1, 4.0, 30.0]
+        assert min_sample_size_exact(budget, grid=grid).n == min_n_grid_ref(budget, grid)
+
+    @pytest.mark.parametrize("lam", [1e16, 1e300])
+    def test_mean_outside_kernel_domain_still_raises(self, lam):
+        # theta = n*lam > 2^53 is never screened, so the kernel names its domain; at
+        # 1e16 the Chernoff bounds alone would pass the mean and answer 380.
+        with pytest.raises(ResourceLimitError, match="domain theta <= 2\\^53"):
+            min_sample_size_exact(ErrorBudget(0.1, 0.1, 0.05), grid=[1.0, lam])
+
+    def test_window_end_past_double_range(self):
+        # The second mean's window ends near k = 1e300, far past the span; the
+        # screen bounds that tail at uc + 1, a finite r, even past the double range.
+        assert min_sample_size_exact(ErrorBudget(1e300, 0.5, 0.05), grid=[1.0, 1e-3]).n == 1
+        assert plan._screened(1e-3, 0, 10**400, 1e-20)
 
 
 class TestNormalApprox:
