@@ -1,24 +1,18 @@
 """Chernoff tail bounds for Poisson variables and the empirical mean.
 
-Everything here reduces to one exponent function
+Everything here reduces to one exponent, the per-sample log of the optimized
+Chernoff bound on a deviation eps from a Poisson mean lam,
 
-    g(eps, lam) = eps + (lam + eps) * ln(lam / (lam + eps)),
+    g(eps, lam) = eps + (lam + eps) * ln(lam / (lam + eps)) = eps * phi(eps/lam),
+    phi(u) = h(u)/u,   h(u) = u - (1 + u) * log1p(u),
 
-the per-sample log of the optimized Chernoff bound on a deviation of size
-``eps`` from a Poisson mean ``lam``.  It is <= 0 everywhere, with equality
-only at eps = 0.  Writing u = eps/lam gives g(eps, lam) = lam * h(u) with
-
-    h(u) = u - (1 + u) * log1p(u),
-
-which is also the log-bound per unit of mean for the tail of a single
-Poisson variable: for Poisson(theta),
-
-    Pr{K >= r} <= exp(theta * h((r - theta)/theta))   for r > theta,
-    Pr{K <= r} <= exp(theta * h((r - theta)/theta))   for 0 < r < theta,
-
-both equal to the classical e^{-theta} (theta*e/r)^r.  All public bounds
-are evaluated in log space so they neither overflow nor lose the exponent
-for large sample sizes.
+which is <= 0, with equality only at eps = 0.  For K ~ Poisson(theta) and
+u = (r - theta)/theta, both Pr{K >= r} (r > theta) and Pr{K <= r} (0 < r <
+theta) are at most exp((r - theta) * phi(u)) = e^{-theta} (theta*e/r)^r.
+_phi is the one evaluation of the exponent, also for exact.py's pmf and
+plan.py's critical exponent; each caller multiplies it by a deviation exact
+in its inputs.  All public bounds are evaluated in log space, so they neither
+overflow nor lose the exponent for large sample sizes.
 """
 
 from __future__ import annotations
@@ -32,16 +26,24 @@ from .errors import (
 _SIDES = ("lower", "upper")
 
 
-def _h(u: float) -> float:
-    """u - (1+u)*log1p(u) for u > -1; <= 0 with equality iff u == 0.
+def _phi(u: float) -> float:
+    """h(u)/u for u > -1 within a few ulps: about -u/2 near 0, in (-709, 1) for finite u.
 
-    Direct evaluation cancels to O(u^2) near zero, so below |u| < 1e-4 the
-    series -(u^2/2 - u^3/6 + u^4/12 - u^5/20) is used; its truncation error
-    there is below 1e-24 relative.
+    Below |u| = 0.25, Loader's series from log1p(u) = 2*atanh(v), v = u/(2+u),
+    t = v^2 <= 1/49: -v*(1 + v*(1+v)*(1/3 + t/5 + ... + t^8/19)), off by under
+    1e-17.  Above, 1 - ((1+u)/u)*log1p(u) cancels at most about three bits.
     """
-    if abs(u) < 1e-4:
-        return -u * u * (0.5 - u * (1.0 / 6.0 - u * (1.0 / 12.0 - u * 0.05)))
-    return u - (1.0 + u) * math.log1p(u)
+    if -0.25 < u < 0.25:
+        v = u / (2.0 + u)
+        t = v * v
+        s = 1/3 + t*(1/5 + t*(1/7 + t*(1/9 + t*(1/11 + t*(1/13 + t*(1/15 + t*(1/17 + t/19)))))))
+        return -v * (1.0 + v * (1.0 + v) * s)
+    return 1.0 - (1.0 + u) / u * math.log1p(u)
+
+
+def _h(u: float) -> float:
+    """u - (1+u)*log1p(u) for u > -1; <= 0 with equality iff u == 0."""
+    return u * _phi(u)
 
 
 def g_exponent(epsilon: float, lam: float) -> float:
@@ -60,7 +62,7 @@ def g_exponent(epsilon: float, lam: float) -> float:
     u = epsilon / lam
     if u > 1e300:
         return chernoff_log_bound(lam, lam + epsilon)
-    return lam * _h(u)
+    return epsilon * _phi(u)
 
 
 def chernoff_log_bound(theta: float, r: float) -> float:
@@ -70,11 +72,10 @@ def chernoff_log_bound(theta: float, r: float) -> float:
     No tail-side precondition is checked here: the value only *bounds* a
     tail probability on the sides enforced by the public functions.
 
-    Evaluated as theta*h((r-theta)/theta), which keeps full accuracy for r
-    near theta, except where that ratio passes 1e300 (h's product would
-    overflow while the bound is finite) or rounds to -1 (r/theta below the
-    double range); there the direct form r - theta - r*(ln r - ln theta)
-    stays finite.
+    Evaluated as (r - theta)*_phi(u), u = (r - theta)/theta, which keeps full
+    accuracy for r near theta, except where u passes 1e300 (it may reach inf,
+    where _phi is nan) or rounds to -1 (r/theta below the double range);
+    there the direct form r - theta - r*(ln r - ln theta) stays finite.
     """
     check_positive_real(theta, "theta")
     if not 0.0 <= r < math.inf:
@@ -84,7 +85,7 @@ def chernoff_log_bound(theta: float, r: float) -> float:
     u = (r - theta) / theta
     if not -1.0 < u <= 1e300:
         return r - theta - r * (math.log(r) - math.log(theta))
-    return theta * _h(u)
+    return (r - theta) * _phi(u)
 
 
 def chernoff_upper_tail(theta: float, r: float) -> float:

@@ -316,12 +316,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ArithmeticError(f"non-finite value in report ({exc})") from None
         print(_render_text(envelope) if args.format == "text" else report)
-    except ParameterError as exc:
-        flag = _FLAG_OF.get(exc.param, exc.param)
-        print(f"poissonplan {args.command}: error: {flag}: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"poissonplan {args.command}: error: {exc}", file=sys.stderr)
+    except (ParameterError, ResourceLimitError) as exc:
+        flag = f"{_FLAG_OF.get(exc.param, exc.param)}: " if exc.param else ""
+        print(f"poissonplan {args.command}: error: {flag}{exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"poissonplan {args.command}: i/o error: {exc}", file=sys.stderr)

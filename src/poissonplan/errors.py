@@ -26,7 +26,11 @@ class ParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A request exceeds a configured resource cap (e.g. trial budget)."""
+    """A request exceeds a configured resource cap; ``param`` names the input, if one does."""
+
+    def __init__(self, message: str, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 def check_positive_int(value, name: str) -> int:

@@ -6,10 +6,12 @@ is computed in the saddle-point form used by R's dpois (Loader's algorithm):
     pmf(k; theta) = exp(-stirlerr(k) - bd0(k, theta)) / sqrt(2*pi*k)
 
 where stirlerr(k) = lgamma(k+1) - (k+0.5)ln k + k - ln sqrt(2*pi) and
-bd0(k, theta) = k*ln(k/theta) + theta - k is evaluated by a cancellation-free
-series when k is close to theta.  Unlike exp(-theta + k*ln(theta) -
-lgamma(k+1)), no large terms are differenced, so the relative error stays
-near machine precision even for theta in the hundreds of thousands.
+bd0(k, theta) = k*ln(k/theta) + theta - k = -theta*h(u), u = (k - theta)/theta,
+is minus the Chernoff exponent of bounds.py, evaluated as -(k - theta)*_phi(u)
+through bounds._phi, which has no cancellation near k = theta.  Unlike
+exp(-theta + k*ln(theta) - lgamma(k+1)), no large terms are differenced:
+against mpmath the relative error is under 1e-13 at counts 3 to 12 sd from
+the mode up to theta = 1e11, and under 1e-13 + 5e-15*|ln pmf| deeper.
 
 Series over k are truncated to the certified span of _span,
 theta -+ (10*sqrt(theta) + 35), outside which the Chernoff bound
@@ -42,6 +44,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .bounds import _phi
 from .budget import CaseLabel, ErrorBudget, case_of
 from .errors import (
     ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
@@ -80,24 +83,6 @@ def _stirlerr(n: int) -> float:
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
 
 
-def _bd0(x: float, mean: float) -> float:
-    """x*ln(x/mean) + mean - x, evaluated without cancellation near x = mean."""
-    if abs(x - mean) < 0.1 * (x + mean):
-        v = (x - mean) / (x + mean)
-        s = (x - mean) * v
-        ej = 2.0 * x * v
-        v2 = v * v
-        j = 1
-        while True:
-            ej *= v2
-            s1 = s + ej / (2 * j + 1)
-            if s1 == s:
-                return s1
-            s = s1
-            j += 1
-    return x * math.log(x / mean) + mean - x
-
-
 def _check_count(k) -> int:
     """int(k) for a finite integral k that is not a bool; else a ParameterError naming k."""
     if isinstance(k, bool) or not (isinstance(k, int) or math.isfinite(k) and k == int(k)):
@@ -106,17 +91,18 @@ def _check_count(k) -> int:
 
 
 def poisson_pmf(theta: float, k: int) -> float:
-    """Pr{K = k} for K ~ Poisson(theta), k >= 0."""
+    """Pr{K = k} for K ~ Poisson(theta), k >= 0; bd0 is -(k - theta)*_phi((k - theta)/theta)."""
     check_positive_real(theta, "theta")
     k = _check_count(k)
     if k < 0:
         raise ParameterError("k", f"k must be >= 0, got {k!r}")
     if k == 0:
         return math.exp(-theta)
-    x = scaled(k, 1.0)
-    if x == math.inf:  # k past the double range: the pmf underflows at every finite theta
+    d = scaled(k, 1.0) - theta
+    u = d / theta
+    if not -1.0 < u < math.inf:  # theta > 2^53*k underflows; k/theta = inf is subnormal
         return 0.0
-    exponent = -_stirlerr(k) - _bd0(x, theta)
+    exponent = d * _phi(u) - _stirlerr(k)
     if exponent < -745.0:  # exp underflows; avoid raising on the sqrt scale
         return 0.0
     return math.exp(exponent) / math.sqrt(2.0 * math.pi * k)

@@ -23,14 +23,13 @@ the scan.  ``normal_approx_sample_size`` is the normal-approximation baseline.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _h, chernoff_log_bound
+from .bounds import _phi, chernoff_log_bound
 from .budget import ErrorBudget
 from .errors import (
     ParameterError,
@@ -53,6 +52,7 @@ SEARCH_CAP = 2**20
 # before any allocation (each point costs 8 bytes and one exact evaluation).
 GRID_CAP = 2**20
 SCREEN_DELTA_MIN = 1e-9  # smallest delta the exact search screens at (min_sample_size_exact)
+EXACT_DELTA_MIN = 1e-14  # smallest delta the exact search resolves (min_sample_size_exact)
 
 
 @dataclass(frozen=True)
@@ -74,46 +74,34 @@ class PlanResult:
 
 
 def critical_exponent(budget: ErrorBudget) -> float:
-    """g(epsilon_a, epsilon_a/epsilon_r), always < 0.
+    """g(epsilon_a, epsilon_a/epsilon_r) = epsilon_a * (h(epsilon_r)/epsilon_r), <= 0.
 
-    Evaluated as -(epsilon_a/epsilon_r) * ((1+epsilon_r)ln(1+epsilon_r) -
-    epsilon_r) through the cancellation-safe h(), rather than through the
-    generic exponent at the divided argument.  Where that product is not
-    finite or h(epsilon_r) is not a normal double (epsilon_r < ~2.1e-154), it
-    is epsilon_a * (h(u)/u) at u = epsilon_r, with the series of h(u)/u below 1e-4.
+    Formed as epsilon_a * _phi(epsilon_r), without the ratio or h, so it is
+    within a few ulps wherever _phi(epsilon_r) ~ -epsilon_r/2 and the product
+    are normal doubles (epsilon_r above about 4.5e-308), and -0.0 only where
+    the product underflows.
     """
-    h = _h(budget.epsilon_r)
-    g_c = budget.rel_boundary * h
-    if math.isfinite(g_c) and -h >= sys.float_info.min:
-        return g_c
-    u = budget.epsilon_r
-    h_over_u = -u * (0.5 - u * (1.0 / 6.0 - u * (1.0 / 12.0 - u * 0.05))) if u < 1e-4 else _h(u) / u
-    return budget.epsilon_a * h_over_u
+    return budget.epsilon_a * _phi(budget.epsilon_r)
 
 
 def formula_sample_size(budget: ErrorBudget) -> PlanResult:
     """Sample size from the closed-form rule: the smallest integer above the rhs.
 
-    n is floor(rhs) + 1, so an rhs that is exactly an integer m gives
-    m + 1, and one more where ``is_sufficient`` rejects that count.  The
-    two round the same inequality differently and disagree only within a
-    few ulps of an integer, where the larger n is kept; one step suffices
-    below 2^52, and above it a double cannot tell n from n + 1.
-
-    Where h(epsilon_r) is not a normal double (epsilon_r below about
-    2.1e-154) or the rhs overflows, it is ln(2/delta)/-g_c instead.
-    Raises ResourceLimitError when that too overflows a double.
+    rhs = ln(2/delta)/-g_c with g_c = critical_exponent(budget), the rule
+    in log space.  n is floor(rhs) + 1, so an rhs that is exactly an
+    integer m gives m + 1, and one more where ``is_sufficient`` rejects
+    that count.  The two round the same inequality differently and disagree
+    only within a few ulps of an integer, where the larger n is kept; one
+    step suffices below 2^52, and above it a double cannot tell n from n + 1.
+    Raises ResourceLimitError where the rhs overflows a double (including
+    where g_c rounds to -0.0).
     """
     g_c = critical_exponent(budget)
-    h = _h(budget.epsilon_r)
-    normal = -h >= sys.float_info.min
-    rhs = (budget.epsilon_r / budget.epsilon_a) * math.log(2.0 / budget.delta) / -h if normal else math.inf
-    if not math.isfinite(rhs) and g_c:  # g_c carries the same ratio without h's rounding
-        rhs = math.log(2.0 / budget.delta) / -g_c
+    rhs = math.log(2.0 / budget.delta) / -g_c if g_c else math.inf
     if not math.isfinite(rhs):
         raise ResourceLimitError(
             f"the closed-form n overflows for epsilon_a={budget.epsilon_a!r}, "
-            f"epsilon_r={budget.epsilon_r!r} (h(epsilon_r) = {h!r}), delta={budget.delta!r}"
+            f"epsilon_r={budget.epsilon_r!r} (critical exponent {g_c!r}), delta={budget.delta!r}"
         )
     n = math.floor(rhs) + 1
     if not is_sufficient(n, budget):
@@ -139,7 +127,7 @@ def is_sufficient(n: int, budget: ErrorBudget) -> bool:
 def _half(delta: float) -> float:
     """delta/2, or ResourceLimitError naming delta where it rounds to 0."""
     if not delta / 2.0:
-        raise ResourceLimitError(f"delta={delta!r} is too small: delta/2 rounds to 0")
+        raise ResourceLimitError(f"delta={delta!r} is too small: delta/2 rounds to 0", "delta")
     return delta / 2.0
 
 
@@ -215,7 +203,16 @@ def min_sample_size_exact(
     Raises ResourceLimitError once the scan would try an n above
     SEARCH_CAP.  The result is a statement about the supplied grid only -
     means outside it are not checked.
+
+    A delta below EXACT_DELTA_MIN = 1e-14 raises ResourceLimitError naming
+    delta: 1 - delta rounds by up to 2^-54 = 5.6e-17 and the span leaves out
+    up to 1e-16 per side, 2.6e-16 that does not shrink with delta: 2.6% of
+    delta at the floor, and below 1.1e-16 the target 1 - delta is 1.0.
     """
+    if budget.delta < EXACT_DELTA_MIN:
+        raise ResourceLimitError(
+            f"delta={budget.delta!r} is below the exact search's floor {EXACT_DELTA_MIN}", "delta"
+        )
     lams = tuple(default_lambda_grid(budget) if grid is None else grid)
     if not lams:
         raise ParameterError("grid", "grid must be non-empty")

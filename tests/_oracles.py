@@ -1,9 +1,10 @@
 """High-precision reference implementations, independent of the package.
 
 Everything here except ``mass_exactish`` and ``min_n_grid_ref`` is
-computed with mpmath at 60 significant digits, taking the *exact* rational
-value of each binary double input, so disagreements with the package are
-genuine implementation error rather than input rounding.
+computed with mpmath at 60 significant digits (``h_ref`` at 700), taking
+the *exact* rational value of each binary double input, so disagreements
+with the package are genuine implementation error rather than input
+rounding.
 """
 
 import math
@@ -29,6 +30,13 @@ def g_ref(eps, lam):
     """eps + (lam+eps)*ln(lam/(lam+eps)) at high precision."""
     e, l = mpf_of(eps), mpf_of(lam)
     return e + (l + e) * mpmath.log(l / (l + e))
+
+
+def h_ref(u):
+    """u - (1+u)*log1p(u) at 700 digits, enough for its u^2/2 cancellation down to |u| = 1e-300."""
+    with mpmath.workdps(700):
+        x = mpf_of(u)
+        return x - (1 + x) * mpmath.log1p(x)
 
 
 def chernoff_ref(theta, r):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,9 @@ from poissonplan import (
     tail_bound_rel,
 )
 
-from _oracles import chernoff_ref, g_ref, mpf_of
+from poissonplan.bounds import _h
+
+from _oracles import chernoff_ref, g_ref, h_ref, mpf_of
 
 # Frozen high-precision values (mpmath, 60 digits, exact float inputs).
 G_1_1 = -0.38629436111989063          # 1 - 2 ln 2
@@ -49,14 +52,18 @@ class TestGExponent:
         with pytest.raises(ParameterError):
             g_exponent(eps, lam)
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 3e-5, 9.9e-5, 1e-4, 1.01e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize(
+        "scale",
+        [1e-12, 1e-8, 3e-5, 9.9e-5, 1e-4, 1.01e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.2499,
+         0.25, 0.2501, 0.3, 0.6, 0.999, 1.0 - 1e-9, 1.0 - 2.0**-52],
+    )
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("lam", [0.25, 1.0, 40.0])
     def test_matches_reference_through_series_crossover(self, scale, sign, lam):
         eps = sign * scale * lam
         got = g_exponent(eps, lam)
         ref = float(g_ref(eps, lam))
-        assert got == pytest.approx(ref, rel=1e-11, abs=1e-300)
+        assert got == pytest.approx(ref, rel=1e-14, abs=1e-300)
 
     @given(
         lam=st.floats(min_value=1e-3, max_value=1e3),
@@ -123,6 +130,32 @@ class TestGExponent:
                 assert fd_upper == pytest.approx(closed_upper, rel=1e-4)
 
 
+# u = deviation/mean on both sides of _phi's series cut at |u| = 0.25 and of
+# 1e-4, through the band where u - (1+u)*log1p(u) cancels, toward -1 and out
+# to 1e3.
+_U_SMALL = [1e-12, 1e-8, 9.9e-5, 1.01e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.2499, 0.25, 0.2501, 0.3, 0.6]
+U_PANEL = sorted([-u for u in _U_SMALL] + _U_SMALL) + [
+    -0.999, -(1.0 - 1e-9), -(1.0 - 2.0**-52), 1.0, 3.7, 10.0, 1e2, 1e3
+]
+
+
+class TestExponentAccuracy:
+    """The shared exponent h(u)/u keeps its callers within 1e-14 of mpmath
+    (g_exponent: TestGExponent::test_matches_reference_through_series_crossover)."""
+
+    @pytest.mark.parametrize("u", U_PANEL)
+    def test_h(self, u):
+        assert _h(u) == pytest.approx(float(h_ref(u)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("u", U_PANEL)
+    @pytest.mark.parametrize("theta", [0.3, 7.0, 1e4])
+    def test_chernoff_log_bound(self, u, theta):
+        r = theta * (1.0 + u)
+        t, rr = mpf_of(theta), mpf_of(r)
+        ref = rr - t - rr * mpmath.log(rr / t)
+        assert chernoff_log_bound(theta, r) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
 class TestChernoffTails:
     def test_upper_fixture(self):
         assert chernoff_upper_tail(1.0, 2.0) == pytest.approx(CHERN_UP_1_2, rel=1e-13)
@@ -185,8 +218,6 @@ class TestChernoffTails:
         ratio=st.floats(min_value=1.0 + 1e-9, max_value=50.0),
     )
     def test_log_bound_matches_reference(self, theta, ratio):
-        import mpmath
-
         r = theta * ratio
         got = chernoff_log_bound(theta, r)
         ref = float(

@@ -112,6 +112,15 @@ class TestSize:
         assert out == ""
         assert "SEARCH_CAP = 1048576" in err
 
+    def test_exact_search_below_delta_floor_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "size", "--method", "exact",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "1e-17",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("poissonplan size: error: --delta: delta=1e-17")
+
     def test_normal_requires_lambda(self, capsys):
         code, _, err = run_cli(
             capsys, "size", "--method", "normal",

@@ -171,9 +171,9 @@ def test_delta_halving_to_zero_is_a_resource_limit_naming_delta(call):
 
 # epsilon_a/epsilon_r past the double range, or h(epsilon_r) not a normal
 # double (the last row, where h underflows to 0 but the ratio is 1e300): the
-# critical exponent is epsilon_a * (h(epsilon_r)/epsilon_r), finite and < 0,
-# and where h(epsilon_r) is not normal the rhs is ln(2/delta)/-g_c.  The last
-# n is mpmath's floor(ln(40)/-g_c) + 1, about 7.38e100.
+# critical exponent epsilon_a * (h(epsilon_r)/epsilon_r) forms neither, so it
+# stays finite and < 0, and so does the rhs ln(2/delta)/-g_c.  The last n is
+# mpmath's floor(ln(40)/-g_c) + 1, about 7.38e100.
 RATIO_OVERFLOW_BUDGETS = [("1.7e308", "0.5", "0.5", 1), ("1e300", "1e-10", "0.05", 1),
                           ("1e300", "1e-300", "0.05", 8),
                           ("1e100", "1e-200", "0.05", 7.377758908227872e100)]

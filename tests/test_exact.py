@@ -2,8 +2,10 @@
 
 import functools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,19 +66,22 @@ class TestPmf:
 
     @pytest.mark.parametrize(
         "theta",
-        [1e-3, 0.07, 0.5, 2.0, 17.3, 100.0, 1234.5, 4.0e4, 4.31e5, 1.0e6],
+        [1e-3, 0.07, 0.5, 2.0, 17.3, 100.0, 1234.5, 2304.0, 4.0e4, 4.31e5, 1.0e6,
+         1.0e7 + 0.5, 3.3e9, 1e11],
     )
     def test_matches_reference_across_scales(self, theta):
+        # Counts 3 to 12 sd from the mode; at 2304 = 48^2 the +12 sd count
+        # sits on _phi's series cut, u = 0.25.
+        sd = math.sqrt(theta)
         ks = sorted(
             {
                 int(k)
                 for k in (
                     0, 1, 2, 3, 5, 10,
                     theta * 0.5,
-                    theta - 3 * math.sqrt(theta),
                     theta,
-                    theta + 3 * math.sqrt(theta),
                     theta * 1.5,
+                    *(int(theta) + round(z * sd) for z in (-12, -7, -3, 3, 7, 12)),
                 )
                 if k >= 0
             }
@@ -85,7 +90,24 @@ class TestPmf:
             ref = pmf_ref(theta, k)
             if ref < 1e-290:
                 continue
-            assert poisson_pmf(theta, k) == pytest.approx(float(ref), rel=1e-12)
+            assert poisson_pmf(theta, k) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    def test_deep_tail_error_tracks_the_exponent(self):
+        # exp turns an absolute error in the exponent into a relative one in
+        # the pmf, so deep in a tail the bound grows with |ln pmf|: 5e-15 of it
+        # is an exponent good to about 20 ulps.  Deviations |u| in [0.15, 0.5]
+        # straddle _phi's series cut at 0.25, down to pmf = 1e-300.
+        rng = random.Random(15)
+        checked = 0
+        while checked < 1000:
+            theta = 10.0 ** rng.uniform(3.0, 5.5)
+            k = round(theta * (1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.5)))
+            ref = pmf_ref(theta, k)
+            if ref < 1e-300:
+                continue
+            checked += 1
+            bound = 1e-13 - 5e-15 * float(mpmath.log(ref))
+            assert abs(poisson_pmf(theta, k) / float(ref) - 1.0) <= bound, (theta, k)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 """Tests for sample-size planning: closed form, threshold, search, baseline."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -30,7 +31,7 @@ from poissonplan import (
 from poissonplan import plan
 from poissonplan.bounds import chernoff_log_bound
 
-from _oracles import coverage_ref, min_n_grid_ref, normal_quantile_ref
+from _oracles import coverage_ref, h_ref, min_n_grid_ref, mpf_of, normal_quantile_ref
 
 RHS_A = 761.97660540300205   # eps_a = eps_r = 0.1, delta = 0.05
 RHS_B = 380.98830270150103   # eps_a = 0.2, eps_r = 0.1, delta = 0.05
@@ -178,6 +179,39 @@ class TestCriticalExponent:
         for budget in BUDGET_GRID:
             direct = g_exponent(budget.epsilon_a, budget.epsilon_a / budget.epsilon_r)
             assert critical_exponent(budget) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "eps_r",
+        [1e-300, 1e-200, 1e-160, 1e-100, 1e-40, 1e-12, 1e-5, 9.9e-5, 1.01e-4,
+         1e-3, 0.01, 0.1, 0.2499, 0.25, 0.2501, 0.5, 0.99],
+    )
+    @pytest.mark.parametrize("eps_a", [1e-3, 1.0, 1e100])
+    def test_matches_mpmath(self, eps_a, eps_r):
+        ref = mpf_of(eps_a) * h_ref(eps_r) / mpf_of(eps_r)
+        got = critical_exponent(ErrorBudget(eps_a, eps_r, 0.05))
+        assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+def _closed_form_panel(count, seed):
+    """Seeded budgets with eps_a in [1e-3, 1e3], eps_r in [1e-4, 0.99] and
+    delta in [1e-12, 0.5], all log-uniform, so the rhs stays below 6e8."""
+    rng = random.Random(seed)
+    return [
+        ErrorBudget(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-4, math.log10(0.99)),
+                    10.0 ** rng.uniform(-12, math.log10(0.5)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("budget", _closed_form_panel(200, 15))
+def test_closed_form_n_matches_mpmath(budget):
+    # n is the smallest integer above ln(2/delta)/-g_c, evaluated at 700 digits.
+    with mpmath.workdps(700):
+        g_c = mpf_of(budget.epsilon_a) * h_ref(budget.epsilon_r) / mpf_of(budget.epsilon_r)
+        rhs = mpmath.log(2 / mpf_of(budget.delta)) / -g_c
+        assert rhs < 1e9
+        n = int(mpmath.floor(rhs)) + 1
+    assert formula_sample_size(budget).n == n
 
 
 def _min_sufficient_n(budget, cap):
@@ -471,12 +505,21 @@ class TestChernoffScreen:
         min_sample_size_exact(budget)
         assert len(calls) <= cap
 
-    @pytest.mark.parametrize("delta, n", [(1e-9, 3761), (1e-12, 5141), (1e-17, 7091)])
+    @pytest.mark.parametrize("delta, n", [(1e-9, 3761), (1e-12, 5141), (1e-14, 6061)])
     def test_tiny_delta_at_and_below_the_floor(self, monkeypatch, delta, n):
         budget = ErrorBudget(0.1, 0.1, delta)
         assert min_sample_size_exact(budget).n == n
         monkeypatch.setattr(plan, "SCREEN_DELTA_MIN", 1.0)  # no screen at any delta
         assert min_sample_size_exact(budget).n == n
+
+    @pytest.mark.parametrize("delta", [9.9e-15, 1e-17, 1e-100])
+    def test_delta_below_the_exact_floor_is_refused(self, delta):
+        # Below plan.EXACT_DELTA_MIN the rounding of 1 - delta and the span's
+        # truncation exceed 2% of delta; 1e-17 answered 7091 like every delta
+        # below 5.6e-17, the span's answer rather than the budget's.
+        with pytest.raises(ResourceLimitError, match="delta=") as excinfo:
+            min_sample_size_exact(ErrorBudget(0.1, 0.1, delta))
+        assert excinfo.value.param == "delta"
 
     def test_small_grid_matches_brute_force(self):
         budget = ErrorBudget(0.1, 0.1, 0.05)
