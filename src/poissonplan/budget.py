@@ -5,7 +5,8 @@ an absolute tolerance ``epsilon_a`` OR a relative tolerance ``epsilon_r`` of
 the truth; ``delta`` is the total probability allowed for missing both.
 Which tolerance is the binding one depends on where the true mean sits
 relative to the boundaries ``epsilon_a`` and ``epsilon_a / epsilon_r``,
-giving four regimes (labelled I-IV below).
+giving four regimes (labelled I-IV below).  One exact rule, relative_binds,
+decides between the last two, for the labels and the exact windows alike.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class ErrorBudget:
 
     @property
     def rel_boundary(self) -> float:
-        """The mean at which the relative tolerance overtakes the absolute one."""
+        """The mean at which the relative tolerance overtakes the absolute one, rounded."""
         return self.epsilon_a / self.epsilon_r
 
 
@@ -58,16 +59,30 @@ class CaseLabel(str, Enum):
         return self.value
 
 
+def relative_binds(lam: float, budget: ErrorBudget) -> bool:
+    """Whether epsilon_r*lam > epsilon_a, exactly, for a finite lam > 0.
+
+    The rounded product decides unless it equals epsilon_a (rounding is
+    monotone); then the integer ratios of the doubles do.
+    """
+    product = budget.epsilon_r * lam
+    if product != budget.epsilon_a:
+        return product > budget.epsilon_a
+    a, b = lam.as_integer_ratio()
+    c, d = budget.epsilon_a.as_integer_ratio()
+    e, f = budget.epsilon_r.as_integer_ratio()
+    return e * a * d > c * f * b
+
+
 def case_of(lam: float, budget: ErrorBudget) -> CaseLabel:
     """Classify ``lam`` into one of the four tolerance regimes.
 
-    The boundary ``lam == epsilon_a/epsilon_r`` belongs to case III.
+    Case IV is relative_binds, the rule for the window's half-width, so the
+    exact boundary epsilon_r*lam == epsilon_a belongs to case III.
     """
     check_positive_real(lam, "lam")
     if lam < budget.epsilon_a:
         return CaseLabel.I
     if lam == budget.epsilon_a:
         return CaseLabel.II
-    if lam <= budget.rel_boundary:
-        return CaseLabel.III
-    return CaseLabel.IV
+    return CaseLabel.IV if relative_binds(lam, budget) else CaseLabel.III

@@ -1,10 +1,13 @@
 """Command-line front end: size, verify, scan, and bound subcommands.
 
-Reports are JSON by default (text with --format text) and echo the parsed
-inputs so a report is sufficient to reproduce itself.  One rule writes every
-float, in JSON, text and the scan CSV alike: its shortest round-trip repr
-(``json.dumps`` for the report), so parsing a report recovers every value
-bit-exactly.  A non-finite value is refused in every format.
+Reports are JSON by default (text with --format text).  By construction,
+``inputs`` echo every parsed flag except --format, in declaration order
+(--lambda as ``lambda``; scan overwrites the n and grid ends it resolves),
+so a report is sufficient to reproduce itself; ``size`` results and the
+``mc`` block are the fields of PlanResult and SimResult.  One rule writes
+every float, in JSON, text and the scan CSV alike: its shortest round-trip
+repr (``json.dumps`` for the report), so parsing a report recovers every
+value bit-exactly.  A non-finite value is refused in every format.
 
 Exit codes: 0 success, 2 usage/parameter error or resource limit, 3 internal
 numeric failure (including a non-finite report value), 4 I/O failure.
@@ -13,6 +16,7 @@ numeric failure (including a non-finite report value), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -66,34 +70,11 @@ def _render_text(obj, indent: str = "") -> str:
                 lines.append(_render_text(value, indent + "  "))
             else:
                 lines.append(f"{indent}- {value}")
-    else:
-        lines.append(f"{indent}{obj}")
     return "\n".join(line for line in lines if line)
 
 
-def _envelope(command: str, inputs: dict, results: dict, warnings: list) -> dict:
-    return {
-        "tool_version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": warnings,
-    }
-
-
-def _budget_from(args) -> ErrorBudget:
-    return ErrorBudget(epsilon_a=args.eps_a, epsilon_r=args.eps_r, delta=args.delta)
-
-
-def _cmd_size(args) -> dict:
-    budget = _budget_from(args)
-    inputs = {
-        "eps_a": args.eps_a,
-        "eps_r": args.eps_r,
-        "delta": args.delta,
-        "method": args.method,
-        "lambda": args.lam,
-    }
+def _cmd_size(args, inputs: dict) -> tuple:
+    budget = ErrorBudget(args.eps_a, args.eps_r, args.delta)
     if args.method == "normal":
         if args.lam is None:
             raise ParameterError("lam", "--lambda is required for --method normal")
@@ -102,26 +83,11 @@ def _cmd_size(args) -> dict:
         res = min_sample_size_exact(budget)
     else:
         res = formula_sample_size(budget)
-    results = {
-        "n": res.n,
-        "rhs": res.rhs,
-        "critical_exponent": res.critical_exponent,
-        "method": res.method,
-    }
-    return _envelope("size", inputs, results, [])
+    return dataclasses.asdict(res), []
 
 
-def _cmd_verify(args) -> dict:
-    budget = _budget_from(args)
-    inputs = {
-        "eps_a": args.eps_a,
-        "eps_r": args.eps_r,
-        "delta": args.delta,
-        "n": args.n,
-        "lambda": args.lam,
-        "mc_trials": args.mc_trials,
-        "seed": args.seed,
-    }
+def _cmd_verify(args, inputs: dict) -> tuple:
+    budget = ErrorBudget(args.eps_a, args.eps_r, args.delta)
     point = exact_coverage(args.n, args.lam, budget)
     threshold = 1.0 - budget.delta
     results = {
@@ -137,21 +103,16 @@ def _cmd_verify(args) -> dict:
         sim = simulate_coverage(
             SimConfig(trials=args.mc_trials, seed=args.seed, n=args.n, lam=args.lam, budget=budget)
         )
-        results["mc"] = {
-            "trials": sim.trials,
-            "hits": sim.hits,
-            "estimate": sim.estimate,
-            "ci_half_width": sim.ci_half_width,
-            "generator": sim.generator,
-        }
-    return _envelope("verify", inputs, results, [])
+        results["mc"] = dataclasses.asdict(sim)
+    return results, []
 
 
-def _cmd_scan(args) -> dict:
-    budget = _budget_from(args)
+def _cmd_scan(args, inputs: dict) -> tuple:
+    budget = ErrorBudget(args.eps_a, args.eps_r, args.delta)
     n = args.n if args.n is not None else formula_sample_size(budget).n
-    lam_min = args.lam_min if args.lam_min is not None else budget.epsilon_a / 100.0
-    lam_max = args.lam_max if args.lam_max is not None else 100.0 * budget.rel_boundary
+    lam_min = args.lambda_min if args.lambda_min is not None else budget.epsilon_a / 100.0
+    lam_max = args.lambda_max if args.lambda_max is not None else 100.0 * budget.rel_boundary
+    inputs.update(n=n, lambda_min=lam_min, lambda_max=lam_max)
     grid = lambda_grid(budget, lam_min, lam_max, args.grid_points)
     coverage_points = scan_coverage(n, budget, grid)
     threshold = 1.0 - budget.delta
@@ -167,16 +128,6 @@ def _cmd_scan(args) -> dict:
         for p in coverage_points
     ]
     worst = min(rows, key=lambda row: row["margin"])
-    inputs = {
-        "eps_a": args.eps_a,
-        "eps_r": args.eps_r,
-        "delta": args.delta,
-        "n": n,
-        "lambda_min": lam_min,
-        "lambda_max": lam_max,
-        "grid_points": args.grid_points,
-        "out": args.out,
-    }
     results = {
         "n": n,
         "rows": len(rows),
@@ -189,7 +140,7 @@ def _cmd_scan(args) -> dict:
         results["csv"] = args.out
     else:
         results["points"] = rows
-    return _envelope("scan", inputs, results, [])
+    return results, []
 
 
 def _write_scan_csv(path: str, rows: list) -> None:
@@ -204,34 +155,24 @@ def _write_scan_csv(path: str, rows: list) -> None:
             )
 
 
-def _cmd_bound(args) -> dict:
+def _cmd_bound(args, inputs: dict) -> tuple:
     theta, r, side = args.theta, args.r, args.side
     log_bound = chernoff_log_bound(theta, r)  # checks theta, then r, before the side
-    ok = r > theta if side == "upper" else r < theta
+    upper = side == "upper"
     warnings = []
-    if not ok:
+    if not (r > theta if upper else r < theta):
         if not args.force:
-            need = "r > theta" if side == "upper" else "r < theta"
             raise ParameterError(
                 "r",
-                f"the {side}-tail bound requires {need} (got r={r!r}, theta={theta!r}); "
-                "pass --force to evaluate the raw formula anyway",
+                f"the {side}-tail bound requires r {'>' if upper else '<'} theta "
+                f"(got r={r!r}, theta={theta!r}); pass --force to evaluate the raw formula anyway",
             )
         warnings.append(
             f"precondition violated for side={side}: the value is the raw formula, "
             "not a guaranteed bound on the tail"
         )
-    bound = math.exp(log_bound)
-    exact = exact_tail(theta, r, "geq" if side == "upper" else "leq") if args.exact else None
-    inputs = {
-        "theta": theta,
-        "r": r,
-        "side": side,
-        "exact": bool(args.exact),
-        "force": bool(args.force),
-    }
-    results = {"bound": bound, "side": side, "exact": exact}
-    return _envelope("bound", inputs, results, warnings)
+    exact = exact_tail(theta, r, "geq" if upper else "leq") if args.exact else None
+    return {"bound": math.exp(log_bound), "side": side, "exact": exact}, warnings
 
 
 @functools.lru_cache(maxsize=None)  # parse_args leaves it unchanged, so every main call shares one
@@ -282,12 +223,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_budget(p_scan)
     p_scan.add_argument("--n", type=int, default=None,
                         help="sample size (default: the closed-form n)")
+    p_scan.add_argument("--lambda-min", dest="lambda_min", type=float, default=None,
+                        help="grid lower end (default eps_a/100)")
+    p_scan.add_argument("--lambda-max", dest="lambda_max", type=float, default=None,
+                        help="grid upper end (default 100*eps_a/eps_r)")
     p_scan.add_argument("--grid-points", dest="grid_points", type=int, default=200,
                         help="log-spaced grid size (boundary points are added)")
-    p_scan.add_argument("--lambda-min", dest="lam_min", type=float, default=None,
-                        help="grid lower end (default eps_a/100)")
-    p_scan.add_argument("--lambda-max", dest="lam_max", type=float, default=None,
-                        help="grid upper end (default 100*eps_a/eps_r)")
     p_scan.add_argument("--out", default=None, help="write per-mean rows to this CSV file")
     add_format(p_scan)
     p_scan.set_defaults(handler=_cmd_scan)
@@ -309,8 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    inputs = {("lambda" if key == "lam" else key): value for key, value in vars(args).items()
+              if key not in ("command", "handler", "format")}
     try:
-        envelope = args.handler(args)
+        results, warnings = args.handler(args, inputs)
+        envelope = {"tool_version": __version__, "command": args.command, "inputs": inputs,
+                    "results": results, "warnings": warnings}
         try:  # also the finiteness check for every format
             report = json.dumps(envelope, allow_nan=False)
         except ValueError as exc:

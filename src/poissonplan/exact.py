@@ -45,7 +45,7 @@ from typing import Tuple
 import numpy as np
 
 from .bounds import _phi
-from .budget import CaseLabel, ErrorBudget, case_of
+from .budget import CaseLabel, ErrorBudget, case_of, relative_binds
 from .errors import (
     ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
 )
@@ -248,17 +248,16 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
 def _window_ratios(lam: float, budget: ErrorBudget) -> Tuple[int, int, int]:
     """Integers (lo, hi, den) with lam - w = lo/den and lam + w = hi/den exactly.
 
-    w = max(epsilon_a, epsilon_r*lam).  Every finite double is a dyadic
-    rational, so the two candidates are compared by cross-multiplying their
-    integer ratios and no rounding enters.  A non-finite lam raises
+    w = max(epsilon_a, epsilon_r*lam), the relative width exactly when
+    relative_binds, the rule case_of labels by.  A non-finite lam raises
     (OverflowError for inf, ValueError for nan).
     """
     a, b = lam.as_integer_ratio()
+    if relative_binds(lam, budget):
+        e, f = budget.epsilon_r.as_integer_ratio()
+        return a * (f - e), a * (f + e), b * f
     c, d = budget.epsilon_a.as_integer_ratio()
-    e, f = budget.epsilon_r.as_integer_ratio()
-    if c * f * b >= e * a * d:  # epsilon_a >= epsilon_r*lam: absolute half-width
-        return a * d - c * b, a * d + c * b, b * d
-    return a * (f - e), a * (f + e), b * f
+    return a * d - c * b, a * d + c * b, b * d
 
 
 def _window_at(n: int, ratios: Tuple[int, int, int]) -> Tuple[int, int]:

@@ -67,8 +67,8 @@ class SimConfig:
 class SimResult:
     """Hit count and coverage estimate with a 3-sigma binomial half-width."""
 
-    hits: int
     trials: int
+    hits: int
     estimate: float
     ci_half_width: float
     generator: str = GENERATOR_ID
@@ -169,4 +169,4 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
 
     estimate = hits / cfg.trials
     half_width = 3.0 * math.sqrt(estimate * (1.0 - estimate) / cfg.trials)
-    return SimResult(hits=hits, trials=cfg.trials, estimate=estimate, ci_half_width=half_width)
+    return SimResult(trials=cfg.trials, hits=hits, estimate=estimate, ci_half_width=half_width)

@@ -39,10 +39,10 @@ class TestGExponent:
             assert g_exponent(0.0, lam) == 0.0
 
     def test_unit_deviation_at_unit_mean(self):
-        assert g_exponent(1.0, 1.0) == pytest.approx(G_1_1, rel=1e-14)
+        assert g_exponent(1.0, 1.0) == pytest.approx(G_1_1, rel=1e-14, abs=0.0)
 
     def test_small_deviation_value(self):
-        assert g_exponent(0.1, 1.0) == pytest.approx(G_01_1, rel=1e-12)
+        assert g_exponent(0.1, 1.0) == pytest.approx(G_01_1, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "eps, lam",
@@ -113,7 +113,7 @@ class TestGExponent:
         ]:
             assert closed < 0.0
             for lam in (0.01, 0.1, 1.0, 10.0, 1000.0):
-                assert g_exponent(eps * lam, lam) / lam == pytest.approx(closed, rel=1e-12)
+                assert g_exponent(eps * lam, lam) / lam == pytest.approx(closed, rel=1e-12, abs=0.0)
 
     def test_mean_derivative_signs_match_closed_forms(self):
         h = 1e-6
@@ -123,11 +123,11 @@ class TestGExponent:
                 fd_lower = (g_exponent(-eps, lam + h) - g_exponent(-eps, lam - h)) / (2 * h)
                 closed_lower = -math.log1p(-eps / lam) - eps / lam
                 assert closed_lower > 0.0
-                assert fd_lower == pytest.approx(closed_lower, rel=1e-4)
+                assert fd_lower == pytest.approx(closed_lower, rel=1e-4, abs=0.0)
                 fd_upper = (g_exponent(eps, lam + h) - g_exponent(eps, lam - h)) / (2 * h)
                 closed_upper = -math.log1p(eps / lam) + eps / lam
                 assert closed_upper > 0.0
-                assert fd_upper == pytest.approx(closed_upper, rel=1e-4)
+                assert fd_upper == pytest.approx(closed_upper, rel=1e-4, abs=0.0)
 
 
 # u = deviation/mean on both sides of _phi's series cut at |u| = 0.25 and of
@@ -158,10 +158,10 @@ class TestExponentAccuracy:
 
 class TestChernoffTails:
     def test_upper_fixture(self):
-        assert chernoff_upper_tail(1.0, 2.0) == pytest.approx(CHERN_UP_1_2, rel=1e-13)
+        assert chernoff_upper_tail(1.0, 2.0) == pytest.approx(CHERN_UP_1_2, rel=1e-13, abs=0.0)
 
     def test_upper_dominates_exact(self):
-        assert exact_tail(1.0, 2.0, "geq") == pytest.approx(TAIL_GEQ_2_AT_1, rel=1e-12)
+        assert exact_tail(1.0, 2.0, "geq") == pytest.approx(TAIL_GEQ_2_AT_1, rel=1e-12, abs=0.0)
         assert chernoff_upper_tail(1.0, 2.0) >= exact_tail(1.0, 2.0, "geq")
 
     def test_upper_limit_toward_mean(self):
@@ -172,10 +172,10 @@ class TestChernoffTails:
         assert chernoff_upper_tail(10.0, 10.0 * (1.0 + 1e-7)) < 1.0
 
     def test_lower_fixture(self):
-        assert chernoff_lower_tail(2.0, 1.0) == pytest.approx(CHERN_LO_2_1, rel=1e-13)
+        assert chernoff_lower_tail(2.0, 1.0) == pytest.approx(CHERN_LO_2_1, rel=1e-13, abs=0.0)
 
     def test_lower_dominates_exact(self):
-        assert exact_tail(2.0, 1.0, "leq") == pytest.approx(TAIL_LEQ_1_AT_2, rel=1e-12)
+        assert exact_tail(2.0, 1.0, "leq") == pytest.approx(TAIL_LEQ_1_AT_2, rel=1e-12, abs=0.0)
         assert chernoff_lower_tail(2.0, 1.0) >= exact_tail(2.0, 1.0, "leq")
 
     def test_lower_at_zero_threshold_equals_point_mass(self):
@@ -229,12 +229,12 @@ class TestChernoffTails:
 class TestMeanDeviationBounds:
     def test_abs_upper_equals_single_variable_bound(self):
         assert tail_bound_abs(1, 1.0, 1.0, "upper") == pytest.approx(
-            chernoff_upper_tail(1.0, 2.0), rel=1e-12
+            chernoff_upper_tail(1.0, 2.0), rel=1e-12, abs=0.0
         )
 
     def test_abs_lower_fixture(self):
         assert tail_bound_abs(10, 2.0, 1.0, "lower") == pytest.approx(
-            ABS_LOWER_10_2_1, rel=1e-13
+            ABS_LOWER_10_2_1, rel=1e-13, abs=0.0
         )
 
     def test_abs_vanishing_deviation_gives_trivial_bound(self):
@@ -249,11 +249,11 @@ class TestMeanDeviationBounds:
                     eps = q * lam
                     upper = tail_bound_abs(n, lam, eps, "upper")
                     assert upper == pytest.approx(
-                        math.exp(chernoff_log_bound(n * lam, n * (lam + eps))), rel=1e-12
+                        math.exp(chernoff_log_bound(n * lam, n * (lam + eps))), rel=1e-12, abs=0.0
                     )
                     lower = tail_bound_abs(n, lam, eps, "lower")
                     assert lower == pytest.approx(
-                        math.exp(chernoff_log_bound(n * lam, n * (lam - eps))), rel=1e-12
+                        math.exp(chernoff_log_bound(n * lam, n * (lam - eps))), rel=1e-12, abs=0.0
                     )
 
     def test_abs_domain_errors(self):
@@ -268,12 +268,12 @@ class TestMeanDeviationBounds:
 
     def test_rel_lower_fixture(self):
         assert tail_bound_rel(1, 1.0, 0.5, "lower") == pytest.approx(
-            REL_LOWER_1_1_HALF, rel=1e-13
+            REL_LOWER_1_1_HALF, rel=1e-13, abs=0.0
         )
 
     def test_rel_upper_matches_abs_at_unit_mean(self):
         assert tail_bound_rel(1, 1.0, 1.0, "upper") == pytest.approx(
-            tail_bound_abs(1, 1.0, 1.0, "upper"), rel=1e-13
+            tail_bound_abs(1, 1.0, 1.0, "upper"), rel=1e-13, abs=0.0
         )
 
     def test_rel_vanishing_deviation_gives_trivial_bound(self):
@@ -312,4 +312,4 @@ class TestMeanDeviationBounds:
 def test_chernoff_reference_agreement_on_fixture_grid():
     for theta, r in [(0.5, 3.0), (1.0, 2.0), (2.0, 1.0), (5.0, 0.5), (20.0, 33.0), (100.0, 64.0)]:
         got = math.exp(chernoff_log_bound(theta, r))
-        assert got == pytest.approx(float(chernoff_ref(theta, r)), rel=1e-12)
+        assert got == pytest.approx(float(chernoff_ref(theta, r)), rel=1e-12, abs=0.0)

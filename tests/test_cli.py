@@ -81,7 +81,7 @@ class TestSize:
             "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "1e-17",
         )
         assert report["results"]["n"] == 7352
-        assert report["results"]["rhs"] == pytest.approx(100.0 * 8.573944076720883**2, rel=1e-12)
+        assert report["results"]["rhs"] == pytest.approx(100.0 * 8.573944076720883**2, rel=1e-12, abs=0.0)
 
     def test_normal_method_delta_halving_to_zero_exits_2(self, capsys):
         # delta/2 rounds to 0 for the smallest subnormal; the message names delta.
@@ -171,8 +171,16 @@ class TestVerify:
             capsys, "verify", "--n", "1", "--lambda", "1",
             "--eps-a", "1", "--eps-r", "0.5", "--delta", "0.05",
         )
-        assert report["results"]["coverage"] == pytest.approx(E_INV, rel=1e-12)
+        assert report["results"]["coverage"] == pytest.approx(E_INV, rel=1e-12, abs=0.0)
         assert report["results"]["pass"] is False
+
+    def test_case_at_rounded_boundary_follows_the_window(self, capsys):
+        # 0.3 * 0.33333333333333337 > 0.1 exactly: the relative half-width binds.
+        report = run_json(
+            capsys, "verify", "--n", "100", "--lambda", "0.33333333333333337",
+            "--eps-a", "0.1", "--eps-r", "0.3", "--delta", "0.05",
+        )
+        assert report["results"]["case"] == "IV"
 
     def test_zero_samples_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -407,7 +415,7 @@ class TestBound:
         report = run_json(
             capsys, "bound", "--theta", "1e12", "--r", "1.000001e12", "--side", "upper", "--exact"
         )
-        assert report["results"]["exact"] == pytest.approx(0.15865537491679918, rel=1e-12)
+        assert report["results"]["exact"] == pytest.approx(0.15865537491679918, rel=1e-12, abs=0.0)
 
     def test_summed_tail_over_term_cap_exits_2(self, capsys):
         # The upper tail from theta + 1 at theta = 5e13 has about 7.07e7
@@ -425,8 +433,8 @@ class TestBound:
             capsys, "bound", "--theta", "1", "--r", "2", "--side", "upper", "--exact"
         )
         res = report["results"]
-        assert res["bound"] == pytest.approx(CHERN_UP_1_2, rel=1e-12)
-        assert res["exact"] == pytest.approx(TAIL_GEQ_2_AT_1, rel=1e-12)
+        assert res["bound"] == pytest.approx(CHERN_UP_1_2, rel=1e-12, abs=0.0)
+        assert res["exact"] == pytest.approx(TAIL_GEQ_2_AT_1, rel=1e-12, abs=0.0)
         assert res["exact"] <= res["bound"]
         assert report["warnings"] == []
 
@@ -434,14 +442,14 @@ class TestBound:
         report = run_json(
             capsys, "bound", "--theta", "2", "--r", "1", "--side", "lower"
         )
-        assert report["results"]["bound"] == pytest.approx(CHERN_LO_2_1, rel=1e-12)
+        assert report["results"]["bound"] == pytest.approx(CHERN_LO_2_1, rel=1e-12, abs=0.0)
         assert report["results"]["exact"] is None
 
     def test_zero_threshold_lower_is_point_mass(self, capsys):
         report = run_json(
             capsys, "bound", "--theta", "3", "--r", "0", "--side", "lower"
         )
-        assert report["results"]["bound"] == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert report["results"]["bound"] == pytest.approx(math.exp(-3.0), rel=1e-12, abs=0.0)
 
     def test_precondition_violation_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -530,6 +538,132 @@ class TestReportContract:
         assert text in out
         if fmt == "json":
             assert json.loads(out)["results"]["threshold"] == 1.0 - 0.05
+
+
+SCAN_TEXT = """\
+command = scan
+inputs:
+  eps_a = 0.1
+  eps_r = 0.1
+  delta = 0.05
+  n = 50
+  lambda_min = 0.5
+  lambda_max = 2.0
+  grid_points = 2
+  out = None
+results:
+  n = 50
+  rows = 5
+  worst_lambda = 1.000001
+  min_margin = -0.4323958902822309
+  all_pass = False
+  points:
+      lambda = 0.5
+      case = III
+      k_min = 20
+      k_max = 30
+      coverage = 0.7297340350670133
+      margin = -0.22026596493298667
+      lambda = 0.999999
+      case = III
+      k_min = 45
+      k_max = 54
+      coverage = 0.5212660727310686
+      margin = -0.42873392726893134
+      lambda = 1.0
+      case = III
+      k_min = 45
+      k_max = 55
+      coverage = 0.563430168068505
+      margin = -0.38656983193149497
+      lambda = 1.000001
+      case = IV
+      k_min = 46
+      k_max = 55
+      coverage = 0.517604109717769
+      margin = -0.4323958902822309
+      lambda = 2.0
+      case = IV
+      k_min = 90
+      k_max = 110
+      coverage = 0.7065164768589973
+      margin = -0.24348352314100263
+warnings = []
+"""
+
+BOUND_FORCE_TEXT = """\
+command = bound
+inputs:
+  theta = 1.0
+  r = 0.5
+  side = upper
+  exact = False
+  force = True
+results:
+  bound = 0.8577638849607068
+  side = upper
+  exact = None
+warnings:
+  - precondition violated for side=upper: the value is the raw formula, not a guaranteed bound on the tail
+"""
+
+
+class TestTextRenderer:
+    """Whole text reports, pinned: nested rows and a list of warnings."""
+
+    def test_scan_with_embedded_points(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
+            "--n", "50", "--grid-points", "2", "--lambda-min", "0.5", "--lambda-max", "2",
+            "--format", "text",
+        )
+        assert (code, out, err) == (0, f"tool_version = {__version__}\n{SCAN_TEXT}", "")
+
+    def test_forced_bound_lists_its_warning(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--theta", "1", "--r", "0.5", "--side", "upper", "--force",
+            "--format", "text",
+        )
+        assert (code, out, err) == (0, f"tool_version = {__version__}\n{BOUND_FORCE_TEXT}", "")
+
+
+class TestReportSchema:
+    """Key order of every report's inputs, and of the results built from dataclasses."""
+
+    BUDGET = ("--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05")
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["size"], ["eps_a", "eps_r", "delta", "method", "lambda"]),
+            (["verify", "--n", "50", "--lambda", "1"],
+             ["eps_a", "eps_r", "delta", "n", "lambda", "mc_trials", "seed"]),
+            (["scan", "--grid-points", "2"],
+             ["eps_a", "eps_r", "delta", "n", "lambda_min", "lambda_max", "grid_points", "out"]),
+        ],
+        ids=["size", "verify", "scan"],
+    )
+    def test_budget_command_inputs(self, capsys, argv, keys):
+        report = run_json(capsys, *argv, *self.BUDGET)
+        assert list(report) == ["tool_version", "command", "inputs", "results", "warnings"]
+        assert list(report["inputs"]) == keys
+
+    def test_bound_inputs(self, capsys):
+        report = run_json(capsys, "bound", "--theta", "1", "--r", "2", "--side", "upper")
+        assert list(report["inputs"]) == ["theta", "r", "side", "exact", "force"]
+
+    @pytest.mark.parametrize("method", ["formula", "exact", "normal"])
+    def test_size_results(self, capsys, method):
+        report = run_json(capsys, "size", "--method", method, "--lambda", "1", *self.BUDGET)
+        assert list(report["results"]) == ["n", "rhs", "critical_exponent", "method"]
+
+    def test_mc_block(self, capsys):
+        report = run_json(
+            capsys, "verify", "--n", "50", "--lambda", "1", "--mc-trials", "100", *self.BUDGET
+        )
+        assert list(report["results"]["mc"]) == [
+            "trials", "hits", "estimate", "ci_half_width", "generator"
+        ]
 
 
 class TestParserReuse:

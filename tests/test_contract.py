@@ -189,8 +189,8 @@ def test_size_where_the_tolerance_ratio_overflows(eps_a, eps_r, delta, n):
     with mpmath.workdps(700):  # (1+r)ln(1+r) - r cancels to r^2/2 at r = 1e-300
         a, r = mpmath.mpf(eps_a), mpmath.mpf(eps_r)
         g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
-    assert results["critical_exponent"] == pytest.approx(float(g_c), rel=1e-14)
-    assert results["n"] == pytest.approx(n, rel=1e-14)
+    assert results["critical_exponent"] == pytest.approx(float(g_c), rel=1e-14, abs=0.0)
+    assert results["n"] == pytest.approx(n, rel=1e-14, abs=0.0)
 
 
 EXTREMES = [5e-324, 1e-300, 1e-10, 0.5, 1.0, 1e10, 1e300, 1.7e308]
@@ -215,8 +215,8 @@ def test_bounds_never_nan_at_extreme_finite_inputs(a, b):
 def test_exponent_finite_where_h_product_overflows(lam, eps):
     # eps/lam past 1e300: g = eps + (lam+eps) ln(lam/(lam+eps)) ~ eps (1 - ln(eps/lam)).
     expected = eps * (1.0 - (math.log(eps) - math.log(lam)))
-    assert g_exponent(eps, lam) == pytest.approx(expected, rel=1e-14)
-    assert chernoff_log_bound(lam, eps) == pytest.approx(expected, rel=1e-14)
+    assert g_exponent(eps, lam) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert chernoff_log_bound(lam, eps) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 # Command-line fuzz: every float flag takes each of these values.
@@ -259,4 +259,4 @@ def test_cli_exits_0_or_2_naming_the_flag(argv):
         # Not a flagged ParameterError, so it must be a resource limit.
         args = cli._build_parser().parse_args(argv)
         with pytest.raises(ResourceLimitError):
-            args.handler(args)
+            args.handler(args, {})

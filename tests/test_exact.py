@@ -51,18 +51,18 @@ COV_1_3_HALF = 0.22404180765538775   # pmf(3; theta=3) = 27 e^{-3} / 6
 
 class TestPmf:
     def test_zero_count_is_exponential(self):
-        assert poisson_pmf(2.0, 0) == pytest.approx(PMF_2_0, rel=1e-14)
+        assert poisson_pmf(2.0, 0) == pytest.approx(PMF_2_0, rel=1e-14, abs=0.0)
         for theta in (0.03, 1.0, 17.0, 650.0):
             assert poisson_pmf(theta, 0) == math.exp(-theta)
 
     def test_unit_fixture(self):
-        assert poisson_pmf(1.0, 1) == pytest.approx(E_INV, rel=1e-14)
+        assert poisson_pmf(1.0, 1) == pytest.approx(E_INV, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 7.5])
     def test_matches_bruteforce_product_for_small_counts(self, theta):
         for k in range(0, 21):
             brute = theta**k * math.exp(-theta) / math.factorial(k)
-            assert poisson_pmf(theta, k) == pytest.approx(brute, rel=1e-12)
+            assert poisson_pmf(theta, k) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "theta",
@@ -125,7 +125,7 @@ class TestPmf:
 
 class TestCdf:
     def test_fixture(self):
-        assert poisson_cdf(1.0, 1) == pytest.approx(CDF_1_1, rel=1e-14)
+        assert poisson_cdf(1.0, 1) == pytest.approx(CDF_1_1, rel=1e-14, abs=0.0)
 
     def test_negative_count_is_zero(self):
         assert poisson_cdf(3.0, -1) == 0.0
@@ -170,13 +170,13 @@ class TestNormalization:
 
 class TestExactTail:
     def test_upper_fixture(self):
-        assert exact_tail(1.0, 2.0, "geq") == pytest.approx(1.0 - 2.0 * E_INV, rel=1e-12)
+        assert exact_tail(1.0, 2.0, "geq") == pytest.approx(1.0 - 2.0 * E_INV, rel=1e-12, abs=0.0)
 
     def test_lower_fixture(self):
-        assert exact_tail(2.0, 1.0, "leq") == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
+        assert exact_tail(2.0, 1.0, "leq") == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12, abs=0.0)
 
     def test_zero_threshold_lower(self):
-        assert exact_tail(5.0, 0.0, "leq") == pytest.approx(math.exp(-5.0), rel=1e-13)
+        assert exact_tail(5.0, 0.0, "leq") == pytest.approx(math.exp(-5.0), rel=1e-13, abs=0.0)
 
     def test_zero_threshold_upper_is_total_mass(self):
         assert exact_tail(5.0, 0.0, "geq") == pytest.approx(1.0, abs=1e-13)
@@ -203,7 +203,7 @@ class TestExactTail:
         got = exact_tail(2.0, 20.0, "geq")
         ref = float(tail_ref(2.0, 20, "geq"))
         assert ref < 1e-12  # genuinely deep
-        assert got == pytest.approx(ref, rel=1e-9)
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 class TestDominanceAgainstBounds:
@@ -316,7 +316,7 @@ class TestExactCoverage:
     def test_single_count_window(self):
         point = exact_coverage(1, 1.0, ErrorBudget(1.0, 0.5, 0.05))
         assert (point.k_min, point.k_max) == (1, 1)
-        assert point.coverage == pytest.approx(E_INV, rel=1e-13)
+        assert point.coverage == pytest.approx(E_INV, rel=1e-13, abs=0.0)
         assert point.case is CaseLabel.II
 
     def test_wide_window_near_total_mass(self):
@@ -325,7 +325,7 @@ class TestExactCoverage:
 
     def test_offset_single_count_window(self):
         point = exact_coverage(1, 3.0, ErrorBudget(0.5, 0.1, 0.05))
-        assert point.coverage == pytest.approx(COV_1_3_HALF, rel=1e-13)
+        assert point.coverage == pytest.approx(COV_1_3_HALF, rel=1e-13, abs=0.0)
 
     def test_empty_window_is_zero_coverage(self):
         point = exact_coverage(1, 0.5, ErrorBudget(0.05, 0.01, 0.05))

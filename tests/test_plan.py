@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -92,13 +93,13 @@ class TestFormulaSampleSize:
     def test_canonical_budget(self):
         res = formula_sample_size(ErrorBudget(0.1, 0.1, 0.05))
         assert res.n == 762
-        assert res.rhs == pytest.approx(RHS_A, rel=1e-12)
+        assert res.rhs == pytest.approx(RHS_A, rel=1e-12, abs=0.0)
         assert res.method == "formula"
 
     def test_doubled_absolute_tolerance(self):
         res = formula_sample_size(ErrorBudget(0.2, 0.1, 0.05))
         assert res.n == 381
-        assert res.rhs == pytest.approx(RHS_B, rel=1e-12)
+        assert res.rhs == pytest.approx(RHS_B, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "eps_a, eps_r",
@@ -118,8 +119,8 @@ class TestFormulaSampleSize:
             a, r = mpmath.mpf(eps_a), mpmath.mpf(eps_r)
             g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
             n = int(mpmath.floor(mpmath.log(40) / -g_c)) + 1
-        assert res.critical_exponent == pytest.approx(float(g_c), rel=1e-14)
-        assert res.n == pytest.approx(n, rel=1e-14)
+        assert res.critical_exponent == pytest.approx(float(g_c), rel=1e-14, abs=0.0)
+        assert res.n == pytest.approx(n, rel=1e-14, abs=0.0)
 
     def test_doubling_eps_a_exactly_halves_rhs(self):
         for er, d in [(0.1, 0.05), (0.5, 0.2), (0.9, 0.01)]:
@@ -163,7 +164,7 @@ class TestFormulaSampleSize:
 class TestCriticalExponent:
     def test_value(self):
         assert critical_exponent(ErrorBudget(0.1, 0.1, 0.05)) == pytest.approx(
-            CRIT_01_01, rel=1e-12
+            CRIT_01_01, rel=1e-12, abs=0.0
         )
 
     def test_linear_in_eps_a(self):
@@ -178,7 +179,7 @@ class TestCriticalExponent:
     def test_agrees_with_exponent_function(self):
         for budget in BUDGET_GRID:
             direct = g_exponent(budget.epsilon_a, budget.epsilon_a / budget.epsilon_r)
-            assert critical_exponent(budget) == pytest.approx(direct, rel=1e-12)
+            assert critical_exponent(budget) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "eps_r",
@@ -271,6 +272,23 @@ class TestCaseClassifier:
         with pytest.raises(ParameterError):
             case_of(0.0, ErrorBudget(0.1, 0.1, 0.05))
 
+    def test_rounded_relative_boundary_is_decided_exactly(self):
+        # lambda_grid inserts fl(eps_a/eps_r), which lies on either side of the
+        # rational boundary eps_r*lam == eps_a; the label follows the exact side,
+        # the one that picks the window's half-width.
+        rng = random.Random(16)
+        moved = 0
+        for _ in range(400):
+            eps_a, eps_r = 10.0 ** rng.uniform(-4.0, 1.0), rng.uniform(1e-3, 0.999)
+            budget = ErrorBudget(eps_a, eps_r, 0.05)
+            b = budget.rel_boundary
+            for lam in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
+                relative = Fraction(eps_r) * Fraction(lam) > Fraction(eps_a)
+                label = CaseLabel.IV if relative else CaseLabel.III
+                assert case_of(lam, budget) is label, (eps_a, eps_r, lam)
+                moved += relative != (lam > b)
+        assert moved > 100  # the float test lam > b gets that many of them wrong
+
     @given(lam=st.floats(min_value=1e-6, max_value=1e4))
     def test_exactly_one_label(self, lam):
         budget = ErrorBudget(0.3, 0.25, 0.1)
@@ -316,8 +334,8 @@ class TestLambdaGrids:
         grid = default_lambda_grid(budget)
         assert len(grid) >= 200
         assert grid == tuple(sorted(grid))
-        assert grid[0] == pytest.approx(0.001)
-        assert grid[-1] == pytest.approx(100.0)
+        assert grid[0] == pytest.approx(0.001, abs=0.0)
+        assert grid[-1] == pytest.approx(100.0, abs=0.0)
         assert 0.1 in grid and 1.0 in grid
         assert 0.1 * (1 + 1e-6) in grid and 0.1 * (1 - 1e-6) in grid
         assert 1.0 * (1 + 1e-6) in grid and 1.0 * (1 - 1e-6) in grid
@@ -544,7 +562,7 @@ class TestNormalApprox:
     def test_canonical_fixture(self):
         res = normal_approx_sample_size(1.0, 0.1, 0.05)
         assert res.n == 385
-        assert res.rhs == pytest.approx(Z_975**2 * 100.0, rel=1e-9)
+        assert res.rhs == pytest.approx(Z_975**2 * 100.0, rel=1e-9, abs=0.0)
         assert res.critical_exponent is None
         assert res.method == "normal_approx"
 
@@ -560,7 +578,7 @@ class TestNormalApprox:
     def test_z_is_the_upper_quantile_of_delta_over_2(self, delta):
         # z = -quantile(delta/2): 1 - delta/2 rounds to 1 below delta = 1.1e-16.
         z = stats.norm.isf(delta / 2.0)
-        assert normal_approx_sample_size(1.0, 1.0, delta).rhs == pytest.approx(z * z, rel=1e-12)
+        assert normal_approx_sample_size(1.0, 1.0, delta).rhs == pytest.approx(z * z, rel=1e-12, abs=0.0)
 
     def test_underflowing_tolerance_squared_is_a_resource_limit(self):
         with pytest.raises(ResourceLimitError, match="overflows"):
@@ -578,10 +596,10 @@ class TestNormalApprox:
 class TestNormalQuantile:
     def test_median_and_symmetry(self):
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-        assert normal_quantile(0.975) == pytest.approx(-normal_quantile(0.025), rel=1e-12)
+        assert normal_quantile(0.975) == pytest.approx(-normal_quantile(0.025), rel=1e-12, abs=0.0)
 
     def test_canonical_value(self):
-        assert normal_quantile(0.975) == pytest.approx(Z_975, rel=1e-12)
+        assert normal_quantile(0.975) == pytest.approx(Z_975, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "p", [1e-9, 1e-6, 0.001, 0.02425, 0.3, 0.5, 0.7, 0.97575, 0.999, 1 - 1e-6]
