@@ -81,8 +81,17 @@ def case_of(lam: float, budget: ErrorBudget) -> CaseLabel:
     exact boundary epsilon_r*lam == epsilon_a belongs to case III.
     """
     check_positive_real(lam, "lam")
+    return _case(lam, budget, relative_binds(lam, budget))
+
+
+def _case(lam: float, budget: ErrorBudget, relative: bool) -> CaseLabel:
+    """The regime of ``lam`` given relative = relative_binds(lam, budget).
+
+    relative_binds implies lam > epsilon_a (epsilon_r < 1), so cases I and II
+    need only the comparison with epsilon_a.
+    """
+    if relative:
+        return CaseLabel.IV
     if lam < budget.epsilon_a:
         return CaseLabel.I
-    if lam == budget.epsilon_a:
-        return CaseLabel.II
-    return CaseLabel.IV if relative_binds(lam, budget) else CaseLabel.III
+    return CaseLabel.II if lam == budget.epsilon_a else CaseLabel.III

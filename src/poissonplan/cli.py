@@ -66,8 +66,9 @@ def _render_text(obj, indent: str = "") -> str:
                 lines.append(f"{indent}{key} = {value}")
     elif isinstance(obj, (list, tuple)):
         for value in obj:
-            if isinstance(value, (dict, list, tuple)):
-                lines.append(_render_text(value, indent + "  "))
+            if isinstance(value, (dict, list, tuple)) and value:
+                item = _render_text(value, indent + "  ")  # its first line marks the item
+                lines.append(f"{indent}- {item[len(indent) + 2:]}")
             else:
                 lines.append(f"{indent}- {value}")
     return "\n".join(line for line in lines if line)

@@ -45,7 +45,7 @@ from typing import Tuple
 import numpy as np
 
 from .bounds import _phi
-from .budget import CaseLabel, ErrorBudget, case_of, relative_binds
+from .budget import CaseLabel, ErrorBudget, _case, relative_binds
 from .errors import (
     ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
 )
@@ -245,15 +245,16 @@ def _window_mass(theta: float, k_lo: int, k_hi: int) -> float:
     return min(_anchored_sum(theta, lo, hi), 1.0)
 
 
-def _window_ratios(lam: float, budget: ErrorBudget) -> Tuple[int, int, int]:
+def _window_ratios(lam: float, budget: ErrorBudget, relative: bool) -> Tuple[int, int, int]:
     """Integers (lo, hi, den) with lam - w = lo/den and lam + w = hi/den exactly.
 
-    w = max(epsilon_a, epsilon_r*lam), the relative width exactly when
-    relative_binds, the rule case_of labels by.  A non-finite lam raises
-    (OverflowError for inf, ValueError for nan).
+    w = max(epsilon_a, epsilon_r*lam): the relative width exactly when
+    relative = relative_binds(lam, budget), the rule case_of labels by; the
+    caller decides it once for both.  A non-finite lam raises (OverflowError
+    for inf, ValueError for nan).
     """
     a, b = lam.as_integer_ratio()
-    if relative_binds(lam, budget):
+    if relative:
         e, f = budget.epsilon_r.as_integer_ratio()
         return a * (f - e), a * (f + e), b * f
     c, d = budget.epsilon_a.as_integer_ratio()
@@ -277,7 +278,7 @@ def coverage_window(n: int, lam: float, budget: ErrorBudget) -> Tuple[int, int]:
     """
     check_positive_int(n, "n")
     check_positive_real(lam, "lam")
-    return _window_at(n, _window_ratios(lam, budget))
+    return _window_at(n, _window_ratios(lam, budget, relative_binds(lam, budget)))
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,12 @@ def exact_coverage(n: int, lam: float, budget: ErrorBudget) -> CoveragePoint:
     max(epsilon_a, epsilon_r*lam); the probability is the pmf mass over the
     integer window from coverage_window, i.e. cdf(k_max) - cdf(k_min - 1).
     A mean n*lam past the double range raises the kernel's ResourceLimitError.
+    One relative_binds decision gives both the half-width and the case label.
     """
-    k_min, k_max = coverage_window(n, lam, budget)
+    check_positive_int(n, "n")
+    check_positive_real(lam, "lam")
+    relative = relative_binds(lam, budget)
+    k_min, k_max = _window_at(n, _window_ratios(lam, budget, relative))
     coverage = _window_mass(scaled(n, lam), k_min, k_max)
     return CoveragePoint(
         lam=lam,
@@ -308,5 +313,5 @@ def exact_coverage(n: int, lam: float, budget: ErrorBudget) -> CoveragePoint:
         coverage=coverage,
         k_min=k_min,
         k_max=k_max,
-        case=case_of(lam, budget),
+        case=_case(lam, budget, relative),
     )

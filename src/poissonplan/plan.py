@@ -15,22 +15,64 @@ boundary between the absolute- and relative-tolerance regimes.
 The closed form is conservative; ``min_sample_size_exact`` searches for the
 smallest n whose *exact* coverage clears 1 - delta at every mean of an
 explicit grid.  It scans n upward from 1 over the means nearest the regime
-boundary first, so a failing n usually costs one window evaluation, and a
-later mean the paper's Chernoff bounds certify costs none; SEARCH_CAP bounds
-the scan.  ``normal_approx_sample_size`` is the normal-approximation baseline.
+boundary first; SEARCH_CAP bounds the scan.  Three certificates decide most
+(n, mean) pairs without a kernel sum, each proving what the kernel would
+decide.  With theta = n*lam, w the window's half-width, d = n*w + 1 and
+
+    H(k, theta) = k ln(k/theta) + theta - k = -(k - theta)*_phi((k - theta)/theta),
+
+which grows with |k - theta| on each side of theta:
+
+1. Reject an n.  The Poisson limit of Zubkov and Serov's binomial bounds
+   (Theory Probab. Appl. 57:539, 2013; Short, ISRN Probab. Stat. 412958,
+   2013) gives Pr{K <= k} >= Phi(-sqrt(2H(k, theta))) for k < theta and
+   Pr{K >= m} >= Phi(-sqrt(2H(m, theta))) for m > theta, i.e.
+   erfc(sqrt(H))/2.  The window misses above from
+   m = k_max + 1 = ceil(n(lam + w)) <= theta + d and below from
+   k_min - 1 = floor(n(lam - w)) > theta - d, so the miss is at least
+   M(n) = _tail_floor(theta, d) + [d < theta] _tail_floor(theta, -d)
+   (_miss_floor).
+2. Skip a run of n.  For n*w >= 1 the upper term does not increase with n:
+   d/dn H(n*lam + n*w + 1, n*lam) = lam[(1 + a)ln(1 + a + t) - (a + t)] with
+   a = w/lam and t = 1/(n*lam) <= a.  The bracket falls as t grows, and at
+   t = a it is F(a) = (1 + a)ln(1 + 2a) - 2a > 0, as F(0) = 0 and
+   F'(a) = ln(1 + 2a) - 2a/(1 + 2a) > 0.  So where the upper term exceeds
+   the threshold at n' >= n >= 1/w, every n in [n, n'] fails at that mean,
+   and past the first n >= 1/w where it does not, it never does again.
+3. Pass the means outside a band.  Chernoff bounds the miss by
+   exp(n*g(w, lam)) + exp(n*g(-w, lam)) (_chernoff_miss).  Where the
+   absolute tolerance binds both exponents grow with lam: with x = e/lam,
+   d/dlam g(e, lam) = x - ln(1 + x) >= 0 and d/dlam g(-e, lam) =
+   -x - ln(1 - x) >= 0.  The lower tail switches on at lam = epsilon_a, so
+   the bound does not decrease; where the
+   relative one binds it is exp(n*lam*h(epsilon_r)) + exp(n*lam*h(-epsilon_r)),
+   which does not increase.  The means whose bound exceeds delta/2 therefore
+   form one band of lam about the boundary, and the others have coverage
+   >= 1 - delta/2.
+
+Margins: the kernel errs by under 1e-11 (65,536 * 1e-16 per piece plus
+1e-16 per side) and 1 - delta rounds by 2^-54.  theta and d are each within
+three roundings of exact, so H is within about 15 ulps relative and
+erfc(sqrt(H))/2, whose derivative in H is at most e^{-H}/(2 sqrt(pi H)),
+within 1e-15 absolute.  A rejection needs M(n) > delta + REJECT_MARGIN
+(1e-10), leaving kernel coverage below 1 - delta; a band pass has kernel
+coverage >= 1 - delta/2 - 1e-11 >= 1 - delta for delta >= 2e-11, and the
+certificates run only at delta >= SCREEN_DELTA_MIN = 1e-9.
+``normal_approx_sample_size`` is the normal-approximation baseline.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _phi, chernoff_log_bound
-from .budget import ErrorBudget
+from .bounds import _h, _phi, g_exponent
+from .budget import ErrorBudget, relative_binds
 from .errors import (
     ParameterError,
     ResourceLimitError,
@@ -40,7 +82,7 @@ from .errors import (
     scaled,
 )
 from .exact import (
-    THETA_MAX, CoveragePoint, _span, _window_at, _window_mass, _window_ratios, exact_coverage
+    THETA_MAX, CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
 )
 
 # Largest n the exact search tries.  The scan spends at least one window
@@ -51,7 +93,12 @@ SEARCH_CAP = 2**20
 # Most log-spaced points lambda_grid builds; more raise ResourceLimitError
 # before any allocation (each point costs 8 bytes and one exact evaluation).
 GRID_CAP = 2**20
-SCREEN_DELTA_MIN = 1e-9  # smallest delta the exact search screens at (min_sample_size_exact)
+SCREEN_DELTA_MIN = 1e-9  # smallest delta the exact search certifies at (min_sample_size_exact)
+# Relative error bound on the double rhs of the closed form, and on n*g_c
+# against ln(delta/2): a few ulps in _phi, the logarithm, the product and the
+# quotient, about 1e-15; 2^-44 = 5.7e-14 is over 50 times that.
+RHS_REL_ERR = 2.0**-44
+REJECT_MARGIN = 1e-10  # how far a certified miss must exceed delta (min_sample_size_exact)
 EXACT_DELTA_MIN = 1e-14  # smallest delta the exact search resolves (min_sample_size_exact)
 
 
@@ -88,13 +135,13 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
     """Sample size from the closed-form rule: the smallest integer above the rhs.
 
     rhs = ln(2/delta)/-g_c with g_c = critical_exponent(budget), the rule
-    in log space.  n is floor(rhs) + 1, so an rhs that is exactly an
-    integer m gives m + 1, and one more where ``is_sufficient`` rejects
-    that count.  The two round the same inequality differently and disagree
-    only within a few ulps of an integer, where the larger n is kept; one
-    step suffices below 2^52, and above it a double cannot tell n from n + 1.
-    Raises ResourceLimitError where the rhs overflows a double (including
-    where g_c rounds to -0.0).
+    in log space, and n = floor(rhs) + 1, so an rhs that is exactly an
+    integer m gives m + 1.  The double rhs is within RHS_REL_ERR of the
+    true one; where an integer lies inside that interval, _exact_n decides
+    in decimal arithmetic, so n is the smallest integer above the true rhs
+    and ``is_sufficient`` agrees with it at every count.  Raises
+    ResourceLimitError where the rhs overflows a double (including where
+    g_c rounds to -0.0).
     """
     g_c = critical_exponent(budget)
     rhs = math.log(2.0 / budget.delta) / -g_c if g_c else math.inf
@@ -103,9 +150,10 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
             f"the closed-form n overflows for epsilon_a={budget.epsilon_a!r}, "
             f"epsilon_r={budget.epsilon_r!r} (critical exponent {g_c!r}), delta={budget.delta!r}"
         )
-    n = math.floor(rhs) + 1
-    if not is_sufficient(n, budget):
-        n += 1
+    if math.floor(rhs * (1.0 + RHS_REL_ERR)) >= math.ceil(rhs * (1.0 - RHS_REL_ERR)):
+        n = _exact_n(budget)
+    else:
+        n = math.floor(rhs) + 1
     return PlanResult(
         n=n,
         rhs=rhs,
@@ -118,10 +166,47 @@ def is_sufficient(n: int, budget: ErrorBudget) -> bool:
     """True iff n samples meet the guarantee per the log-space threshold.
 
     Checks n * g_c < ln(delta/2), the exponential-threshold form of the
-    closed-form rule; a delta whose half rounds to 0 raises ResourceLimitError.
+    closed-form rule.  Where the two sides are within RHS_REL_ERR of each
+    other, or g_c is not a normal double, n >= _exact_n(budget) decides, the
+    same rule as formula_sample_size.  A delta whose half rounds to 0 raises
+    ResourceLimitError.
     """
     check_positive_int(n, "n")
-    return scaled(n, critical_exponent(budget)) < math.log(_half(budget.delta))
+    g_c = critical_exponent(budget)
+    ln_half = math.log(_half(budget.delta))
+    product = scaled(n, g_c)
+    if g_c <= -sys.float_info.min and abs(product - ln_half) > RHS_REL_ERR * -ln_half:
+        return product < ln_half
+    return n >= _exact_n(budget)
+
+
+def _exact_n(budget: ErrorBudget) -> int:
+    """floor(rhs) + 1 for the true rhs = epsilon_r*ln(2/delta)/(epsilon_a*c), in decimal.
+
+    c = (1 + epsilon_r)ln(1 + epsilon_r) - epsilon_r = -h(epsilon_r) lies in
+    [x^2/3, x^2/2] for x = epsilon_r in (0, 1).  At precision P every decimal
+    operation errs by at most u = 5*10^-P relative (ln is correctly rounded),
+    so c errs by under 11u absolute, under 33u/x^2 relative, and the rhs by
+    under 40u/x^2.  P = digits + 2*(digits of 1/x) keeps that below
+    200*10^-digits, and the answer stands once rhs -+ 1000*10^-digits*rhs
+    share their floor; digits double until they do.  That ends: by Baker's
+    theorem the rhs, a ratio of logarithms of rationals offset by
+    epsilon_r, is never an integer.
+    """
+    from decimal import Decimal, localcontext  # only knife-edge budgets come here
+
+    ea, er, delta = (Decimal(x) for x in (budget.epsilon_a, budget.epsilon_r, budget.delta))
+    digits, loss = 40, 2 * max(0, -er.adjusted())
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits + loss
+            c = (1 + er) * (1 + er).ln() - er
+            rhs = er * (2 / delta).ln() / (ea * c)
+            slack = rhs.scaleb(3 - digits)
+            low, high = math.floor(rhs - slack), math.floor(rhs + slack)
+        if low == high:
+            return low + 1
+        digits *= 2
 
 
 def _half(delta: float) -> float:
@@ -191,16 +276,28 @@ def min_sample_size_exact(
     log distance (the mixed criterion binds there), and each mean that
     fails moves to the front.  The order changes only the cost.
 
+    At delta >= SCREEN_DELTA_MIN the three certificates of the module
+    docstring stand in for kernel sums, each only at a mean with
+    theta = n*lam <= THETA_MAX:
+    - an n whose front mean has _miss_floor(theta, n*w + 1) above
+      delta + REJECT_MARGIN fails unsummed; this is tried only where
+      n*w > 1/2, as below that the window holds at most one count and its
+      sum costs no more than the floor (an empty one costs nothing);
+    - where also n*w >= 1, the run of counts whose upper floor stays above
+      delta + REJECT_MARGIN fails with it, found by _prefix_end once per
+      mean;
+    - once the front mean passes, the other means are summed, in order,
+      only inside the band where _chernoff_miss exceeds delta/2 (found by
+      two bisections over the grid sorted by lam) or past THETA_MAX.
+    A certified rejection has kernel coverage below 1 - delta, a certified
+    pass at least 1 - delta, so every n is that of the plain scan; and as
+    no certificate applies past THETA_MAX, the kernel raises its domain
+    error at the same n.  Window endpoints are formed only for the means
+    visited, after every grid mean is validated.
+
     The closed-form n meets the guarantee at every mean, so the scan stops
-    at or below it without evaluating its wide windows.
-    Past the first mean, at delta >= SCREEN_DELTA_MIN and theta = n*lam <=
-    THETA_MAX (the kernel raises beyond), a mean with L + U <= delta/2 passes
-    unsummed: as k_min - 1 < theta < k_max + 1, L = exp(chernoff_log_bound(theta,
-    k_min - 1)) (0 at k_min = 0) bounds Pr{K < k_min} and U, the same at the
-    finite r = min(k_max + 1, uc + 1), uc from _span, bounds Pr{K > k_max}.  So
-    coverage >= 1 - delta/2, and the kernel, off by under 1e-11 (65,536 * 1e-16
-    per piece, 1e-16 per side; 1/50 of delta/2 at the floor), passes it too.
-    Raises ResourceLimitError once the scan would try an n above
+    at or below it without evaluating its wide windows.  Raises
+    ResourceLimitError once the scan, or a skip, would try an n above
     SEARCH_CAP.  The result is a statement about the supplied grid only -
     means outside it are not checked.
 
@@ -218,40 +315,136 @@ def min_sample_size_exact(
         raise ParameterError("grid", "grid must be non-empty")
     for lam in lams:
         check_positive_real(lam, "grid")
-    ratios = [_window_ratios(lam, budget) for lam in lams]
 
-    target = 1.0 - budget.delta
-    half, screen = budget.delta / 2.0, budget.delta >= SCREEN_DELTA_MIN
+    count = len(lams)
+    target, half = 1.0 - budget.delta, budget.delta / 2.0
+    certify = budget.delta >= SCREEN_DELTA_MIN
+    reject = budget.delta + REJECT_MARGIN
     log_boundary = math.log(budget.rel_boundary)
-    order = sorted(range(len(lams)), key=lambda i: abs(math.log(lams[i]) - log_boundary))
+    order = sorted(range(count), key=lambda i: abs(math.log(lams[i]) - log_boundary))
+    by_lam = sorted(range(count), key=lams.__getitem__)
+    rank = [0] * count
+    for pos, idx in enumerate(by_lam):
+        rank[idx] = pos
+    # Positions below split take the absolute half-width (relative_binds is monotone in lam).
+    split = _prefix_end(0, count - 1, lambda pos: not relative_binds(lams[by_lam[pos]], budget)) + 1
+    windows = {}
 
-    def ok(n: int) -> bool:
-        for pos, idx in enumerate(order):
-            theta = n * lams[idx]
-            k_min, k_max = _window_at(n, ratios[idx])
-            if pos and screen and theta <= THETA_MAX and _screened(theta, k_min, k_max, half):
-                continue
-            if _window_mass(theta, k_min, k_max) < target:
-                order.insert(0, order.pop(pos))
-                return False
-        return True
+    def window(idx: int) -> list:
+        """[ratios, w, n_w, skips] of mean idx: window ratios, half-width, least n with n*w >= 1.
+
+        skips turns False once a skip has been tried at some n >= n_w: past
+        its run the upper floor does not exceed the threshold again.
+        """
+        if idx not in windows:
+            relative = rank[idx] >= split
+            lo, hi, den = ratios = _window_ratios(lams[idx], budget, relative)
+            w = budget.epsilon_r * lams[idx] if relative else budget.epsilon_a
+            windows[idx] = [ratios, w, -(-2 * den // (hi - lo)), True]
+        return windows[idx]
+
+    def passes(n: int, pos: int) -> bool:
+        return _chernoff_miss(n, lams[by_lam[pos]], budget, pos >= split) <= half
 
     base = formula_sample_size(budget)
     n = 1
-    while not ok(n):
+    while n <= SEARCH_CAP:
+        lam = lams[order[0]]
+        front = window(order[0])
+        ratios, w, n_w, skips = front
+        theta, spread = n * lam, n * w
+        if (certify and spread > 0.5 and theta <= THETA_MAX
+                and _miss_floor(theta, spread + 1.0) > reject):
+            if skips and n >= n_w:
+                n = max(n, _prefix_end(n, SEARCH_CAP, lambda m: m * lam <= THETA_MAX
+                                       and _tail_floor(m * lam, m * w + 1.0) > reject))
+                front[3] = False
+            n += 1
+            continue
+        if _window_mass(theta, *_window_at(n, ratios)) < target:
+            n += 1
+            continue
+        lo, hi = 0, count
+        if certify:
+            lo = _prefix_end(0, split - 1, lambda pos: passes(n, pos)) + 1
+            hi = _prefix_end(split, count - 1, lambda pos: not passes(n, pos)) + 1
+        for idx in order[1:]:
+            theta = n * lams[idx]
+            if theta <= THETA_MAX and not lo <= rank[idx] < hi:
+                continue
+            if _window_mass(theta, *_window_at(n, window(idx)[0])) < target:
+                order.remove(idx)
+                order.insert(0, idx)
+                break
+        else:
+            return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")
         n += 1
-        if n > SEARCH_CAP:
-            raise ResourceLimitError(
-                f"the exact search found no feasible n up to SEARCH_CAP = {SEARCH_CAP}; "
-                f"the closed-form n is about {base.rhs:.3g}"
-            )
-    return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")
+    raise ResourceLimitError(
+        f"the exact search found no feasible n up to SEARCH_CAP = {SEARCH_CAP}; "
+        f"the closed-form n is about {base.rhs:.3g}"
+    )
 
 
-def _screened(theta: float, k_min: int, k_max: int, half: float) -> bool:
-    """Whether Chernoff bounds prove Pr{k_min <= K <= k_max} >= 1 - half (min_sample_size_exact)."""
-    low = math.exp(chernoff_log_bound(theta, k_min - 1)) if k_min else 0.0
-    return low + math.exp(chernoff_log_bound(theta, min(k_max + 1, _span(theta)[1] + 1))) <= half
+def _tail_floor(theta: float, d: float) -> float:
+    """erfc(sqrt(H))/2, H = H(theta + d, theta) = -d*_phi(d/theta), for d/theta > -1.
+
+    A lower bound on Pr{K >= m} for K ~ Poisson(theta) and every integer m
+    in (theta, theta + d] (d > 0), and on Pr{K <= k} for every integer k in
+    [theta + d, theta) (d < 0); nan where d/theta is inf.
+    """
+    return 0.5 * math.erfc(math.sqrt(-d * _phi(d / theta)))
+
+
+def _miss_floor(theta: float, d: float) -> float:
+    """M = _tail_floor(theta, d) + _tail_floor(theta, -d), the second only where d/theta < 1.
+
+    A lower bound on the miss of a window whose ends lie within d of theta:
+    k_max + 1 <= theta + d and k_min - 1 > theta - d.
+    """
+    return _tail_floor(theta, d) + (_tail_floor(theta, -d) if d / theta < 1.0 else 0.0)
+
+
+def _chernoff_miss(n: int, lam: float, budget: ErrorBudget, relative: bool) -> float:
+    """The Chernoff bound on Pr{|K/n - lam| >= w}, K ~ Poisson(n*lam), w the half-width.
+
+    relative (w = epsilon_r*lam): exp(n*lam*h(epsilon_r)) + exp(n*lam*h(-epsilon_r)).
+    Otherwise (w = epsilon_a): exp(n*g(epsilon_a, lam)) plus, for the lower
+    tail, 0 where lam < epsilon_a (the window starts at 0), e^{-n*lam} =
+    Pr{K = 0} at lam = epsilon_a (the u = -1 limit _phi cannot evaluate), and
+    exp(n*g(-epsilon_a, lam)) above.
+    """
+    theta = n * lam
+    if relative:
+        return math.exp(theta * _h(budget.epsilon_r)) + math.exp(theta * _h(-budget.epsilon_r))
+    miss = math.exp(n * g_exponent(budget.epsilon_a, lam))
+    if lam == budget.epsilon_a:
+        return miss + math.exp(-theta)
+    if lam > budget.epsilon_a:
+        return miss + math.exp(n * g_exponent(-budget.epsilon_a, lam))
+    return miss
+
+
+def _prefix_end(lo: int, hi: int, holds) -> int:
+    """Last m in [lo - 1, hi] with holds(k) for every k in [lo, m].
+
+    holds must be true on a prefix of [lo, hi]; it is probed at lo, lo + 2,
+    lo + 6, ... (doubling steps), then bisected, so a prefix of length L
+    costs about 2*log2(L) calls.
+    """
+    good, bad, step = lo - 1, hi + 1, 1
+    while good + step < bad:
+        if not holds(good + step):
+            bad = good + step
+            break
+        good += step
+        step *= 2
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def normal_quantile(p: float) -> float:

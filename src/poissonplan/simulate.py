@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .budget import ErrorBudget
 from .errors import (
@@ -148,6 +147,8 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
     table exceeds TABLE_CAP entries, or that overflow a double, raise
     ResourceLimitError.
     """
+    from numpy.random import Generator, Philox, SeedSequence  # only sampling needs numpy.random
+
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
             f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"

@@ -558,31 +558,31 @@ results:
   min_margin = -0.4323958902822309
   all_pass = False
   points:
-      lambda = 0.5
+    - lambda = 0.5
       case = III
       k_min = 20
       k_max = 30
       coverage = 0.7297340350670133
       margin = -0.22026596493298667
-      lambda = 0.999999
+    - lambda = 0.999999
       case = III
       k_min = 45
       k_max = 54
       coverage = 0.5212660727310686
       margin = -0.42873392726893134
-      lambda = 1.0
+    - lambda = 1.0
       case = III
       k_min = 45
       k_max = 55
       coverage = 0.563430168068505
       margin = -0.38656983193149497
-      lambda = 1.000001
+    - lambda = 1.000001
       case = IV
       k_min = 46
       k_max = 55
       coverage = 0.517604109717769
       margin = -0.4323958902822309
-      lambda = 2.0
+    - lambda = 2.0
       case = IV
       k_min = 90
       k_max = 110
@@ -723,3 +723,12 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["n"] == 762
 
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # size, scan and bound never sample; simulate_coverage imports numpy.random.
+        import subprocess
+        import sys
+
+        code = "import sys, poissonplan.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

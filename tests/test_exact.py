@@ -319,6 +319,22 @@ class TestExactCoverage:
         assert point.coverage == pytest.approx(E_INV, rel=1e-13, abs=0.0)
         assert point.case is CaseLabel.II
 
+    @pytest.mark.parametrize(
+        "lam, case", [(1.0, CaseLabel.III), (2.0, CaseLabel.IV), (0.05, CaseLabel.I)]
+    )
+    def test_regime_decided_once(self, monkeypatch, lam, case):
+        # lam = 1.0 ties: 0.1*1.0 rounds to epsilon_a and the integer ratios decide.
+        decide = exact.relative_binds
+        calls = []
+
+        def counted(x, budget):
+            calls.append(x)
+            return decide(x, budget)
+
+        monkeypatch.setattr(exact, "relative_binds", counted)
+        point = exact_coverage(762, lam, ErrorBudget(0.1, 0.1, 0.05))
+        assert (point.case, calls) == (case, [lam])
+
     def test_wide_window_near_total_mass(self):
         point = exact_coverage(1, 1.0, ErrorBudget(10.0, 0.1, 0.05))
         assert point.coverage >= 0.9999999

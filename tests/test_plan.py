@@ -30,9 +30,11 @@ from poissonplan import (
     scan_coverage,
 )
 from poissonplan import plan
-from poissonplan.bounds import chernoff_log_bound
+from poissonplan.budget import relative_binds
 
-from _oracles import coverage_ref, h_ref, min_n_grid_ref, mpf_of, normal_quantile_ref
+from _oracles import (
+    cdf_gamma_ref, coverage_ref, g_ref, h_ref, min_n_grid_ref, mpf_of, normal_quantile_ref
+)
 
 RHS_A = 761.97660540300205   # eps_a = eps_r = 0.1, delta = 0.05
 RHS_B = 380.98830270150103   # eps_a = 0.2, eps_r = 0.1, delta = 0.05
@@ -118,9 +120,9 @@ class TestFormulaSampleSize:
         with mpmath.workdps(700):
             a, r = mpmath.mpf(eps_a), mpmath.mpf(eps_r)
             g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
-            n = int(mpmath.floor(mpmath.log(40) / -g_c)) + 1
+            n = int(mpmath.floor(mpmath.log(2 / mpf_of(0.05)) / -g_c)) + 1
         assert res.critical_exponent == pytest.approx(float(g_c), rel=1e-14, abs=0.0)
-        assert res.n == pytest.approx(n, rel=1e-14, abs=0.0)
+        assert res.n == n
 
     def test_doubling_eps_a_exactly_halves_rhs(self):
         for er, d in [(0.1, 0.05), (0.5, 0.2), (0.9, 0.01)]:
@@ -146,11 +148,22 @@ class TestFormulaSampleSize:
 
     @pytest.mark.parametrize("eps_a", [1e-300, 1e-100, 1e-20])
     def test_tie_rule_past_2_53(self, eps_a):
-        # Consecutive counts share a double here, so the threshold cannot
-        # separate them; the rule still returns an n above the rhs.
-        res = formula_sample_size(ErrorBudget(eps_a, 0.5, 0.05))
-        assert res.n > res.rhs
-        assert res.n - math.floor(res.rhs) in (1, 2)
+        # Consecutive counts share a double here, so the double rhs cannot
+        # separate them; the decimal rule gives the integer above the true rhs.
+        budget = ErrorBudget(eps_a, 0.5, 0.05)
+        res = formula_sample_size(budget)
+        assert res.n == _closed_form_n_ref(budget)
+        assert res.n == pytest.approx(res.rhs, rel=1e-14, abs=0.0)
+        assert is_sufficient(res.n, budget) and not is_sufficient(res.n - 1, budget)
+
+    def test_knife_edge_budget(self):
+        # The double rhs is 536295838103.99994, the true one 536295838104.0000116:
+        # floor + 1 of the double gave 536295838104, which does not exceed it.
+        budget = ErrorBudget(8.24703125024199e-05, 1.4015288631808742e-06, 6.928224372554051e-14)
+        res = formula_sample_size(budget)
+        assert math.floor(res.rhs) == 536_295_838_103
+        assert res.n == _closed_form_n_ref(budget) == 536_295_838_105
+        assert is_sufficient(res.n, budget) and not is_sufficient(res.n - 1, budget)
 
     def test_tie_rule_is_monotone(self):
         # delta sweeps the rhs across the integer 8,921,828.
@@ -204,14 +217,33 @@ def _closed_form_panel(count, seed):
     ]
 
 
-@pytest.mark.parametrize("budget", _closed_form_panel(200, 15))
-def test_closed_form_n_matches_mpmath(budget):
-    # n is the smallest integer above ln(2/delta)/-g_c, evaluated at 700 digits.
+def _closed_form_n_ref(budget):
+    """The smallest integer above ln(2/delta)/-g_c, evaluated at 700 digits."""
     with mpmath.workdps(700):
         g_c = mpf_of(budget.epsilon_a) * h_ref(budget.epsilon_r) / mpf_of(budget.epsilon_r)
-        rhs = mpmath.log(2 / mpf_of(budget.delta)) / -g_c
-        assert rhs < 1e9
-        n = int(mpmath.floor(rhs)) + 1
+        return int(mpmath.floor(mpmath.log(2 / mpf_of(budget.delta)) / -g_c)) + 1
+
+
+# Budgets whose true rhs lies within 3e-7 of an integer (rhs up to 6.3e6), so
+# the double rhs's error interval holds that integer and the decimal rule
+# decides.  At the last, the double rhs is 2677.0000000000014 and the true one
+# 2676.9999999999985: floor + 1 of the double, then the threshold, gave 2678.
+KNIFE_EDGE_BUDGETS = [
+    ErrorBudget(0.18525764165144779, 0.007556331792920596, 0.0003310869785802497),
+    ErrorBudget(0.1410820874056038, 0.000667769400610739, 0.0006375819484884012),
+    ErrorBudget(0.1375701910987134, 0.06808394710613373, 0.01586392723208614),
+    ErrorBudget(19.119215895311594, 0.0024903156808005313, 7.472185585452153e-08),
+    ErrorBudget(0.00347550856015503, 0.09349084767182003, 0.0008396629954669689),
+    ErrorBudget(0.005077315643113694, 0.21999014924915075, 4.510251491761415e-11),
+    ErrorBudget(0.001047961800109633, 0.00720799688475765, 9.697629268171063e-11),
+    ErrorBudget(0.05709725207924258, 0.276044918362489, 7.618602194931008e-09),
+]
+
+
+@pytest.mark.parametrize("budget", _closed_form_panel(200, 15) + KNIFE_EDGE_BUDGETS)
+def test_closed_form_n_matches_mpmath(budget):
+    n = _closed_form_n_ref(budget)
+    assert n < 1e9
     assert formula_sample_size(budget).n == n
 
 
@@ -456,62 +488,99 @@ class TestMinSampleSizeExact:
             assert excinfo.value.param == "grid"
 
 
+def _no_certificate_panel(count, seed):
+    """Seeded budgets with eps_a in [0.1, 1], eps_r in [0.1, 0.8] and delta in
+    [1e-9, 0.2], all log-uniform: default-grid answers up to about 2,500."""
+    rng = random.Random(seed)
+    return [
+        ErrorBudget(10.0 ** rng.uniform(-1, 0), 10.0 ** rng.uniform(-1, math.log10(0.8)),
+                    10.0 ** rng.uniform(-9, math.log10(0.2)))
+        for _ in range(count)
+    ]
+
+
+def _miss_floor(n, lam, budget):
+    """The front-mean rejection bound M(n) of min_sample_size_exact."""
+    return plan._miss_floor(n * lam, n * max(budget.epsilon_a, budget.epsilon_r * lam) + 1.0)
+
+
 class TestChernoffScreen:
-    """The exact search passes a mean unsummed where Chernoff bounds certify it."""
+    """The exact search's certificates: each decides only what the kernel would."""
 
     @given(
         ea=st.floats(min_value=1e-3, max_value=1.0),
         er=st.floats(min_value=0.01, max_value=0.9),
-        log_d=st.floats(min_value=-12.0, max_value=math.log10(0.6)),
-        frac=st.floats(min_value=0.2, max_value=2.0),
+        log_d=st.floats(min_value=-9.0, max_value=math.log10(0.6)),
+        frac=st.floats(min_value=0.05, max_value=2.0),
+        later=st.floats(min_value=1.0, max_value=4.0),
         octave=st.floats(min_value=-3.0, max_value=3.0),
     )
-    @example(ea=0.1, er=0.1, log_d=math.log10(0.05), frac=0.5, octave=0.0)
+    @example(ea=0.1, er=0.1, log_d=math.log10(0.05), frac=0.5, later=1.0, octave=0.0)
     @settings(max_examples=200, deadline=None)
-    def test_accepted_window_covers_one_minus_half_delta(self, ea, er, log_d, frac, octave):
+    def test_accepted_window_covers_one_minus_half_delta(self, ea, er, log_d, frac, later, octave):
+        # Band passes have kernel mass >= 1 - delta/2, certified rejections fail
+        # at the kernel, and past n*w >= 1 the upper floor does not increase.
         budget = ErrorBudget(ea, er, 10.0**log_d)
         n = max(1, int(frac * formula_sample_size(budget).n))
         lam = budget.rel_boundary * 2.0**octave
-        k_min, k_max = coverage_window(n, lam, budget)
-        if plan._screened(n * lam, k_min, k_max, budget.delta / 2.0):
-            assert exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta / 2.0 - 1e-12
+        relative = relative_binds(lam, budget)
+        coverage = exact_coverage(n, lam, budget).coverage
+        if plan._chernoff_miss(n, lam, budget, relative) <= budget.delta / 2.0:
+            assert coverage >= 1.0 - budget.delta / 2.0 - 1e-12
+        if _miss_floor(n, lam, budget) > budget.delta + plan.REJECT_MARGIN:
+            assert coverage < 1.0 - budget.delta
+        w = max(ea, er * lam)
+        if n * w >= 1.0:
+            m = int(n * later)
+            upper = plan._tail_floor(n * lam, n * w + 1.0)
+            assert plan._tail_floor(m * lam, m * w + 1.0) <= upper * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("lam", [0.011, 0.1, 0.3, 5.0])
     def test_accepted_windows_against_mpmath(self, lam):
-        # Canonical budget at its answer n = 381; each mean is one the screen accepts.
+        # Canonical budget at its answer n = 381; each mean lies outside the band.
         budget, n = ErrorBudget(0.1, 0.1, 0.05), EXACT_MIN_N_CANONICAL
-        theta = n * lam
-        k_min, k_max = coverage_window(n, lam, budget)
-        assert plan._screened(theta, k_min, k_max, 0.025)
-        bound = math.exp(chernoff_log_bound(theta, k_min - 1)) if k_min else 0.0
-        bound += math.exp(chernoff_log_bound(theta, k_max + 1))
-        assert 1 - coverage_ref(n, lam, 0.1, 0.1) <= bound <= 0.025
-        assert not plan._screened(theta, k_min, k_max, bound * (1.0 - 1e-9))
+        bound = plan._chernoff_miss(n, lam, budget, relative_binds(lam, budget))
+        w = max(0.1, 0.1 * lam)
+        ref = mpmath.exp(n * g_ref(w, lam))
+        if lam == 0.1:
+            ref += mpmath.exp(-n * mpf_of(lam))
+        elif lam > 0.1:
+            ref += mpmath.exp(n * g_ref(-w, lam))
+        assert bound == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        assert 1 - coverage_ref(n, lam, 0.1, 0.1) <= ref <= 0.025
 
     def test_search_skips_only_certified_means(self, monkeypatch):
-        budget = ErrorBudget(0.1, 0.1, 0.05)
-        screened = plan._screened
-        accepted = []
+        # At the answer only the band is summed; every mean it passes unsummed
+        # has kernel mass >= 1 - delta/2.
+        budget, n = ErrorBudget(0.1, 0.1, 0.05), EXACT_MIN_N_CANONICAL
+        kernel, window_at = plan._window_mass, plan._window_at
+        counts, summed = [], []
 
-        def recorded(theta, k_min, k_max, half):
-            assert half == budget.delta / 2.0
-            ok = screened(theta, k_min, k_max, half)
-            if ok:
-                accepted.append((theta, k_min, k_max))
-            return ok
+        def windowed(count, ratios):
+            counts.append(count)
+            return window_at(count, ratios)
 
-        monkeypatch.setattr(plan, "_screened", recorded)
-        assert min_sample_size_exact(budget).n == EXACT_MIN_N_CANONICAL
-        assert len(accepted) > 100
-        for theta, k_min, k_max in accepted:
-            assert plan._window_mass(theta, k_min, k_max) >= 1.0 - budget.delta / 2.0
+        def recorded(theta, k_min, k_max):
+            summed.append((counts[-1], theta))
+            return kernel(theta, k_min, k_max)
+
+        monkeypatch.setattr(plan, "_window_at", windowed)
+        monkeypatch.setattr(plan, "_window_mass", recorded)
+        assert min_sample_size_exact(budget).n == n
+        at_answer = {theta for count, theta in summed if count == n}
+        assert 0 < len(at_answer) < 100
+        certified = [lam for lam in default_lambda_grid(budget) if n * lam not in at_answer]
+        assert len(certified) > 100
+        for lam in certified:
+            assert kernel(n * lam, *coverage_window(n, lam, budget)) >= 1.0 - budget.delta / 2.0
 
     @pytest.mark.parametrize(
         "budget, cap",
-        [(ErrorBudget(0.1, 0.1, 0.05), 420), (ErrorBudget(0.01, 0.05, 0.01), 13_300)],
+        [(ErrorBudget(0.1, 0.1, 0.05), 55), (ErrorBudget(0.01, 0.05, 0.01), 231)],
     )
     def test_kernel_sums_per_search(self, monkeypatch, budget, cap):
-        # Without the screen: 587 and 13,435 sums.
+        # Without any certificate: 587 and 13,435 sums; with the earlier
+        # pass-only screen, 412 and 13,251.
         calls = []
         kernel = plan._window_mass
 
@@ -530,6 +599,43 @@ class TestChernoffScreen:
         monkeypatch.setattr(plan, "SCREEN_DELTA_MIN", 1.0)  # no screen at any delta
         assert min_sample_size_exact(budget).n == n
 
+    def test_no_certificate_panel(self, monkeypatch):
+        # SCREEN_DELTA_MIN = 1.0 turns all three certificates off.
+        budgets = _no_certificate_panel(300, 19)
+        certified = [min_sample_size_exact(b).n for b in budgets]
+        monkeypatch.setattr(plan, "SCREEN_DELTA_MIN", 1.0)
+        assert [min_sample_size_exact(b).n for b in budgets] == certified
+
+    @pytest.mark.parametrize("theta", [1e-2, 0.3, 1.0, 7.5, 40.0, 1e3, 3.3e4, 1e6])
+    def test_tail_floors_against_mpmath(self, theta):
+        # erfc(sqrt(H))/2 is below Pr{K >= m} for integers m > theta and below
+        # Pr{K <= k} for integers k < theta, out to 12 sd; H at a real point
+        # past m (or before k) is larger, so the relaxed floor holds too.
+        sd = math.sqrt(theta)
+        for k in sorted({max(1, round(theta + z * sd)) for z in range(-12, 13)} | {1, 2}):
+            if k == theta:
+                continue
+            floor = plan._tail_floor(theta, k - theta)
+            if k > theta:
+                tail = 1 - cdf_gamma_ref(theta, k - 1)
+                assert plan._tail_floor(theta, k - theta + 0.5) <= floor
+            else:
+                tail = cdf_gamma_ref(theta, k)
+                assert plan._tail_floor(theta, k - theta - 0.5) <= floor
+            assert floor <= tail * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [50, 200, 381, 2000])
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.5, 1.0, 1.000001, 3.0])
+    def test_miss_floor_against_mpmath(self, n, lam):
+        miss = 1 - coverage_ref(n, lam, 0.1, 0.1)
+        assert _miss_floor(n, lam, ErrorBudget(0.1, 0.1, 0.05)) <= miss
+
+    def test_skip_reaching_the_search_cap_raises(self, monkeypatch):
+        # Answer 126,970; the skip proves every n up to the cap fails.
+        monkeypatch.setattr(plan, "SEARCH_CAP", 50_000)
+        with pytest.raises(ResourceLimitError, match="SEARCH_CAP = 50000"):
+            min_sample_size_exact(ErrorBudget(3e-4, 0.1, 0.05))
+
     @pytest.mark.parametrize("delta", [9.9e-15, 1e-17, 1e-100])
     def test_delta_below_the_exact_floor_is_refused(self, delta):
         # Below plan.EXACT_DELTA_MIN the rounding of 1 - delta and the span's
@@ -546,16 +652,17 @@ class TestChernoffScreen:
 
     @pytest.mark.parametrize("lam", [1e16, 1e300])
     def test_mean_outside_kernel_domain_still_raises(self, lam):
-        # theta = n*lam > 2^53 is never screened, so the kernel names its domain; at
-        # 1e16 the Chernoff bounds alone would pass the mean and answer 380.
+        # theta = n*lam > 2^53 is never certified, so the kernel names its domain;
+        # at 1e16 the Chernoff bounds alone would pass the mean and answer 380.
         with pytest.raises(ResourceLimitError, match="domain theta <= 2\\^53"):
             min_sample_size_exact(ErrorBudget(0.1, 0.1, 0.05), grid=[1.0, lam])
 
     def test_window_end_past_double_range(self):
-        # The second mean's window ends near k = 1e300, far past the span; the
-        # screen bounds that tail at uc + 1, a finite r, even past the double range.
-        assert min_sample_size_exact(ErrorBudget(1e300, 0.5, 0.05), grid=[1.0, 1e-3]).n == 1
-        assert plan._screened(1e-3, 0, 10**400, 1e-20)
+        # The second mean's window ends near k = 1e300, far past the span; its
+        # Chernoff bound is 0, so the band leaves it out.
+        budget = ErrorBudget(1e300, 0.5, 0.05)
+        assert min_sample_size_exact(budget, grid=[1.0, 1e-3]).n == 1
+        assert plan._chernoff_miss(1, 1e-3, budget, False) == 0.0
 
 
 class TestNormalApprox:
