@@ -85,10 +85,10 @@ from .exact import (
     THETA_MAX, CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
 )
 
-# Largest n the exact search tries.  The scan spends at least one window
-# evaluation on every n below its answer, and the closed-form n grows like
-# 1/epsilon_a, so without a cap a tiny epsilon_a runs for hours; past it the
-# search raises ResourceLimitError.
+# Largest n the exact search tries.  Outside its skips the scan spends a
+# window evaluation or a tail floor on every n below its answer, and the
+# closed-form n grows like 1/epsilon_a, so without a cap a tiny epsilon_a
+# runs for hours; past it the search raises ResourceLimitError.
 SEARCH_CAP = 2**20
 # Most log-spaced points lambda_grid builds; more raise ResourceLimitError
 # before any allocation (each point costs 8 bytes and one exact evaluation).
@@ -289,11 +289,15 @@ def min_sample_size_exact(
     - once the front mean passes, the other means are summed, in order,
       only inside the band where _chernoff_miss exceeds delta/2 (found by
       two bisections over the grid sorted by lam) or past THETA_MAX.
-    A certified rejection has kernel coverage below 1 - delta, a certified
-    pass at least 1 - delta, so every n is that of the plain scan; and as
-    no certificate applies past THETA_MAX, the kernel raises its domain
-    error at the same n.  Window endpoints are formed only for the means
-    visited, after every grid mean is validated.
+    An n whose front-mean window is empty (lam >= w and n*(lam + w) <= 1
+    leave k_max = 0 < k_min) fails at that mean, so the scan starts past
+    the first front mean's run of them, and a mean that moves to the front
+    jumps past its own; the run ends at a closed form of the window's
+    integer ratios.  A certified rejection has kernel coverage below
+    1 - delta, a certified pass at least 1 - delta, so every n is that of
+    the plain scan; and as no certificate applies past THETA_MAX, the
+    kernel raises its domain error at the same n.  Window endpoints are
+    formed only for the means visited, after every grid mean is validated.
 
     The closed-form n meets the guarantee at every mean, so the scan stops
     at or below it without evaluating its wide windows.  Raises
@@ -331,27 +335,30 @@ def min_sample_size_exact(
     windows = {}
 
     def window(idx: int) -> list:
-        """[ratios, w, n_w, skips] of mean idx: window ratios, half-width, least n with n*w >= 1.
+        """[ratios, w, n_w, skips, n_e] of mean idx: window ratios, half-width, least n with n*w >= 1.
 
         skips turns False once a skip has been tried at some n >= n_w: past
-        its run the upper floor does not exceed the threshold again.
+        its run the upper floor does not exceed the threshold again.  Every
+        n below n_e has an empty window: where lam >= w (lo >= 0) and
+        n*hi <= den, k_max = 0 < k_min.  n_e is capped at SEARCH_CAP + 1.
         """
         if idx not in windows:
             relative = rank[idx] >= split
             lo, hi, den = ratios = _window_ratios(lams[idx], budget, relative)
             w = budget.epsilon_r * lams[idx] if relative else budget.epsilon_a
-            windows[idx] = [ratios, w, -(-2 * den // (hi - lo)), True]
+            n_e = min(den // hi + 1, SEARCH_CAP + 1) if lo >= 0 else 1
+            windows[idx] = [ratios, w, -(-2 * den // (hi - lo)), True, n_e]
         return windows[idx]
 
     def passes(n: int, pos: int) -> bool:
         return _chernoff_miss(n, lams[by_lam[pos]], budget, pos >= split) <= half
 
     base = formula_sample_size(budget)
-    n = 1
+    n = window(order[0])[4]
     while n <= SEARCH_CAP:
         lam = lams[order[0]]
         front = window(order[0])
-        ratios, w, n_w, skips = front
+        ratios, w, n_w, skips, _ = front
         theta, spread = n * lam, n * w
         if (certify and spread > 0.5 and theta <= THETA_MAX
                 and _miss_floor(theta, spread + 1.0) > reject):
@@ -375,6 +382,7 @@ def min_sample_size_exact(
             if _window_mass(theta, *_window_at(n, window(idx)[0])) < target:
                 order.remove(idx)
                 order.insert(0, idx)
+                n = max(n, window(idx)[4] - 1)  # the new front's empty windows fail too
                 break
         else:
             return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")

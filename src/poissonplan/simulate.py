@@ -14,11 +14,15 @@ lookup per draw, consuming exactly one uniform u and returning the smallest
 k with cdf(k) > u.  The cdf table covers the exact module's certified span
 theta -+ (10*sqrt(theta) + 35), outside which less than 1e-16 of the mass
 lies on either side; its pmf is one run of the exact window kernel
-(exact._run), and it is built once per mean.  A guide index over u
-finds each count in about one step.  A scalar draw is the same lookup as a
-block of one.  The table is capped at TABLE_CAP entries (means up to about
-2.7e9); larger means raise ResourceLimitError, which the command line
-reports with exit code 2.
+(exact._run), and it is built once per mean.  Under that map a count lies
+in the window [k_min, k_max] exactly when cdf(k_min - 1) <= u < cdf(k_max),
+so simulate_coverage counts hits on the uniforms and draws no counts.
+GENERATOR_ID keeps its name, guide inversion included: the streams and
+the inverse-cdf map it was defined with are unchanged, and so is every
+draw and every hit count.  A scalar draw is the same lookup as a block of
+one.  The table is capped at TABLE_CAP entries (means up to about 2.7e9);
+larger means raise ResourceLimitError, which the command line reports
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .exact import THETA_MAX, _run, _span, coverage_window
 
 TRIALS_CAP = 10**9
 GENERATOR_ID = "philox4x64:block65536:guide-inversion:v2"
-# Most cdf-table entries; bounds the table and its guide index to about 24 MB.
+# Most cdf-table entries; bounds the table to about 8 MB.
 TABLE_CAP = 2**20
 
 _BLOCK = 65536
@@ -74,18 +78,16 @@ class SimResult:
 
 
 @lru_cache(maxsize=1)
-def _table(theta: float) -> Tuple[int, np.ndarray, np.ndarray]:
-    """(first, cum, guide): the cdf table of Poisson(theta) over its certified span.
+def _table(theta: float) -> Tuple[int, np.ndarray]:
+    """(first, cum): the cdf table of Poisson(theta) over its certified span.
 
     cum[j] is the cdf at count first + j, from the pmf of exact._run over
     the span: the saddle-point pmf at the in-span mode, extended by the
     ratio recurrence, as in the exact window kernel's sums.  It
     ends with an inf sentinel, so a lookup past the table's mass (below
-    1e-16) returns the first count after the table.  guide[c] is the number
-    of entries <= c/len(guide); its length is a power of two, so
-    c = floor(u*len(guide)) is exact and guide[c] never passes the answer
-    for u.  Raises ResourceLimitError above TABLE_CAP entries, and for a
-    theta past the exact kernel's domain (inf included).
+    1e-16) returns the first count after the table.  Raises
+    ResourceLimitError above TABLE_CAP entries, and for a theta past the
+    exact kernel's domain (inf included).
     """
     lo, hi = _span(theta) if theta <= THETA_MAX else (0, TABLE_CAP)
     if hi - lo >= TABLE_CAP:
@@ -96,48 +98,40 @@ def _table(theta: float) -> Tuple[int, np.ndarray, np.ndarray]:
     p0, down, up = _run(theta, lo, hi)
     pmf = p0 * np.concatenate((down[::-1], [1.0], up))
     cum = np.append(np.cumsum(pmf), np.inf)
-    m = 1 << (4 * (hi - lo) + 3).bit_length()  # a power of two >= 4 * table entries
-    guide = np.searchsorted(cum, np.arange(m) / m, side="right").astype(np.int32)
     cum.flags.writeable = False
-    guide.flags.writeable = False
-    return lo, cum, guide
-
-
-def _lookup(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest index j with cum[j] > u, element-wise; equals searchsorted(cum, u, "right").
-
-    The guide starts each search at or below its answer; two vectorized
-    steps finish nearly all of them and searchsorted finishes the rest.
-    """
-    j = guide[(u * guide.size).astype(np.intp)].astype(np.intp)
-    for _ in range(2):
-        j += cum[j] <= u
-    late = cum[j] <= u
-    if late.any():
-        j[late] = np.searchsorted(cum, u[late], side="right")
-    return j
+    return lo, cum
 
 
 def _sample_poisson_block(theta: float, rng: Generator, size: int) -> np.ndarray:
     """``size`` Poisson(theta) draws as int64, one uniform each."""
-    first, cum, guide = _table(theta)
-    return _lookup(cum, guide, rng.random(size)) + first
+    first, cum = _table(theta)
+    return cum.searchsorted(rng.random(size), "right") + first
 
 
 def poisson_sampler(theta: float, stream: Generator) -> int:
     """One exact Poisson(theta) variate from ``stream``.
 
     Consumes one uniform and returns the same count as a block of one from
-    the sampler ``simulate_coverage`` uses, so the draw is a pure function
-    of the stream state.  Means whose cdf table exceeds TABLE_CAP entries
-    (above about 2.7e9) raise ResourceLimitError.
+    ``_sample_poisson_block``, so the draw is a pure function of the stream
+    state.  Means whose cdf table exceeds TABLE_CAP entries (above about
+    2.7e9) raise ResourceLimitError.
     """
-    first, cum, guide = _table(check_positive_real(theta, "theta"))
-    u = stream.random()
-    j = int(guide[int(u * guide.size)])
-    if cum[j] <= u:  # a cdf value lies between the guide cell's start and u
-        j = int(np.searchsorted(cum, u, side="right"))
-    return first + j
+    first, cum = _table(check_positive_real(theta, "theta"))
+    return first + int(cum.searchsorted(stream.random(), "right"))
+
+
+def _hits(u: np.ndarray, first: int, cum: np.ndarray, k_min: int, k_max: int) -> int:
+    """How many draws first + searchsorted(cum, u, "right") lie in [k_min, k_max], counted on u.
+
+    The draw is K = first + (smallest j with cum[j] > u), so K <= k_max iff
+    u < hi = cum[k_max - first] and K >= k_min iff lo = cum[k_min - first - 1]
+    <= u.  A negative index stands for -inf (no count lies below first); an
+    index past the table clips to its inf sentinel.
+    """
+    top = cum.size - 1
+    lo = cum[min(k_min - first - 1, top)] if k_min > first else -np.inf
+    hi = cum[min(k_max - first, top)] if k_max >= first else -np.inf
+    return int(np.count_nonzero((lo <= u) & (u < hi)))
 
 
 def simulate_coverage(cfg: SimConfig) -> SimResult:
@@ -154,19 +148,16 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
             f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"
         )
     theta = scaled(cfg.n, cfg.lam)
-    _table(theta)  # refuse an over-cap mean before any other work
+    first, cum = _table(theta)  # refuses an over-cap mean before any other work
     k_min, k_max = coverage_window(cfg.n, cfg.lam, cfg.budget)
-    # Counts are int64; clamp an astronomically wide window without changing the event.
-    k_max = min(k_max, 2**62)
 
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     children = SeedSequence(cfg.seed).spawn(n_blocks)
 
     hits = 0
     for i, child in enumerate(children):
-        size = min(_BLOCK, cfg.trials - i * _BLOCK)
-        ks = _sample_poisson_block(theta, Generator(Philox(child)), size)
-        hits += int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
+        u = Generator(Philox(child)).random(min(_BLOCK, cfg.trials - i * _BLOCK))
+        hits += _hits(u, first, cum, k_min, k_max)
 
     estimate = hits / cfg.trials
     half_width = 3.0 * math.sqrt(estimate * (1.0 - estimate) / cfg.trials)

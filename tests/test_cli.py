@@ -103,7 +103,7 @@ class TestSize:
         assert out == ""
 
     def test_exact_search_past_cap_exits_2(self, capsys):
-        # The closed-form n is about 7.6e301; the scan stops at SEARCH_CAP.
+        # The closed-form n is about 7.6e301; every window up to SEARCH_CAP is empty.
         code, out, err = run_cli(
             capsys, "size", "--method", "exact",
             "--eps-a", "1e-300", "--eps-r", "0.1", "--delta", "0.05",

@@ -665,6 +665,102 @@ class TestChernoffScreen:
         assert plan._chernoff_miss(1, 1e-3, budget, False) == 0.0
 
 
+def _empty_window_panel(count, seed):
+    """Seeded budgets, eps_a log-uniform in [1e-300, 1e-3], each with a grid.
+
+    eps_r is in [0.6, 0.95] and delta in [0.01, 0.1].  Every third budget
+    takes the default grid, whose front mean has empty windows past any
+    small cap; every third takes 1 to 3 means in [1e-3, 0.1], empty below
+    n of about 1/(2*lam); the rest take a mean below eps_a, which passes at
+    n = 1, and one in [3e-3, 0.1], which fails and moves to the front.
+    """
+    rng = random.Random(seed)
+    panel = []
+    for i in range(count):
+        budget = ErrorBudget(10.0 ** rng.uniform(-300, -3), rng.uniform(0.6, 0.95),
+                             rng.uniform(0.01, 0.1))
+        if i % 3 == 0:
+            grid = default_lambda_grid(budget)
+        elif i % 3 == 1:
+            grid = [10.0 ** rng.uniform(-3, -1) for _ in range(rng.randint(1, 3))]
+        else:
+            grid = [budget.epsilon_a * rng.uniform(0.01, 0.9), 10.0 ** rng.uniform(-2.5, -1)]
+        panel.append((budget, grid))
+    return panel
+
+
+def _plain_scan(budget, grid, cap):
+    """First n <= cap whose exact_coverage clears 1 - delta at every grid mean, else None.
+
+    Means nearest the regime boundary go first, which changes only the cost.
+    """
+    lams = sorted(grid, key=lambda lam: abs(math.log(lam / budget.rel_boundary)))
+    for n in range(1, cap + 1):
+        if all(exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta for lam in lams):
+            return n
+    return None
+
+
+class TestEmptyWindowSkip:
+    """The exact search jumps over the n whose front-mean window holds no count."""
+
+    def test_matches_plain_scan(self, monkeypatch):
+        cap = 2**11
+        monkeypatch.setattr(plan, "SEARCH_CAP", cap)
+        answered = 0
+        for budget, grid in _empty_window_panel(45, 20):
+            n = _plain_scan(budget, grid, cap)
+            if n is None:
+                rhs = formula_sample_size(budget).rhs
+                message = (f"the exact search found no feasible n up to SEARCH_CAP = {cap}; "
+                           f"the closed-form n is about {rhs:.3g}")
+                with pytest.raises(ResourceLimitError) as excinfo:
+                    min_sample_size_exact(budget, grid=grid)
+                assert str(excinfo.value) == message
+            else:
+                assert min_sample_size_exact(budget, grid=grid).n == n
+                answered += 1
+        assert answered >= 20
+
+    def _kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = plan._window_mass
+
+        def counted(theta, k_lo, k_hi):
+            calls.append((k_lo, k_hi))
+            return kernel(theta, k_lo, k_hi)
+
+        monkeypatch.setattr(plan, "_window_mass", counted)
+        return calls
+
+    @pytest.mark.parametrize("grid", [None, [1e-300]])
+    def test_tiny_eps_a_reaches_the_cap_without_a_kernel_call(self, monkeypatch, grid):
+        # size --method exact --eps-a 1e-300 --eps-r 0.1 --delta 0.05: the front
+        # mean's window is empty at every n <= SEARCH_CAP.  At lam = eps_a the
+        # window's lower end is 0 itself, which the strict inequality excludes.
+        calls = self._kernel_calls(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="SEARCH_CAP = 1048576"):
+            min_sample_size_exact(ErrorBudget(1e-300, 0.1, 0.05), grid=grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("lam", [0.01, 0.0123, 0.07])
+    def test_first_window_holding_a_count_can_be_the_answer(self, lam):
+        # At delta = 0.7 one count (mass near 1/e) clears 1 - delta, so the
+        # search must land on the first n whose window holds a count.
+        budget = ErrorBudget(1e-300, 0.1, 0.7)
+        n = min_sample_size_exact(budget, grid=[lam]).n
+        assert n == _plain_scan(budget, [lam], 1000)
+        assert coverage_window(n - 1, lam, budget) == (1, 0)
+
+    def test_new_front_skips_its_empty_windows(self, monkeypatch):
+        # 1e-301 < eps_a passes at n = 1; 1e-295 then fails with an empty window,
+        # moves to the front, and stays empty up to SEARCH_CAP.
+        calls = self._kernel_calls(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="SEARCH_CAP = 1048576"):
+            min_sample_size_exact(ErrorBudget(1e-300, 0.5, 0.05), grid=[1e-301, 1e-295])
+        assert calls == [(0, 0), (1, 0)]
+
+
 class TestNormalApprox:
     def test_canonical_fixture(self):
         res = normal_approx_sample_size(1.0, 0.1, 0.05)

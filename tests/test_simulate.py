@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats as sps
 
@@ -14,15 +16,38 @@ from poissonplan import (
     SimConfig,
     SimResult,
     TRIALS_CAP,
+    coverage_window,
     exact_coverage,
     poisson_pmf,
     poisson_sampler,
     simulate_coverage,
 )
 from poissonplan.exact import _span
-from poissonplan.simulate import TABLE_CAP, _lookup, _sample_poisson_block, _table
+from poissonplan.simulate import (
+    GENERATOR_ID, TABLE_CAP, _hits, _sample_poisson_block, _table
+)
 
 E_INV = 0.36787944117144233
+
+# (trials, seed, n, lam, (eps_a, eps_r, delta), hits), recorded while the
+# samplers still drew every count through a guide index over the cdf table.
+# A change to any of them changes the stream GENERATOR_ID names.
+PINNED_HITS = [
+    (10**6, 7, 762, 1.0, (0.1, 0.1, 0.05), 994374),
+    (10**6, 42, 1, 1.0, (1.0, 0.5, 0.05), 368012),
+    (131073, 5, 2, 1.5, (0.5, 0.2, 0.1), 29265),
+    (200000, 13, 100, 2.0, (0.5, 0.1, 0.05), 199903),
+    (10**6, 3, 3000, 2000.0, (1.0, 0.05, 0.01), 1000000),
+    (65537, 9, 5, 1e-3, (1e-4, 0.5, 0.05), 0),  # empty window (1, 0)
+    (100000, 11, 1, 0.01, (1e6, 0.5, 0.05), 100000),  # ends past the table's sentinel
+    (70000, 17, 1, 50.0, (60.0, 0.5, 0.05), 70000),  # window (0, 109) starts below first = 1
+    (70000, 19, 1, 50.0, (49.5, 0.5, 0.05), 70000),  # window (1, 99) starts at first
+    (65537, 37, 1000, 1.0, (1e-5, 1e-6, 0.05), 815),  # the one count 1000
+    (70001, 41, 400, 0.125, (0.03, 0.1, 0.05), 62738),
+    (65536, 23, 1, 5.0, (1e300, 0.5, 0.05), 65536),  # k_max near 1e300
+    (1, 29, 3, 4.0, (40.0, 0.9, 0.05), 1),
+    (7, 31, 1, 1e-9, (0.5, 0.5, 0.05), 7),
+]
 
 
 def _stream(seed):
@@ -173,36 +198,89 @@ class TestScalarSampler:
 
 
 class _Uniforms:
-    """A stand-in stream whose random() returns the given values in order."""
+    """A stand-in stream whose random() returns the given values in order.
+
+    random(size) returns an array of the next size values.
+    """
 
     def __init__(self, values):
         self._values = iter(values)
 
-    def random(self):
-        return next(self._values)
+    def random(self, size=None):
+        if size is None:
+            return next(self._values)
+        return np.fromiter(self._values, dtype=np.float64, count=size)
 
 
 class TestGuideLookup:
+    """Block and scalar draws are the plain inverse cdf: first + searchsorted(cum, u, "right")."""
+
     @pytest.mark.parametrize("theta", [1e-9, 0.5, 5.0, 63.0, 200.0, 3.8e4, 1.5e6])
     def test_equals_plain_inverse_cdf(self, theta):
-        first, cum, guide = _table(theta)
-        m = guide.size
-        edges = np.arange(m) / m
+        first, cum = _table(theta)
         u = np.concatenate([
             _stream(7).random(100_000),
             cum[:-1],  # exactly on a cdf value: the next count
             np.nextafter(cum[:-1], 0.0),
-            edges,  # guide cell edges
-            np.nextafter(edges[1:], 0.0),
             [0.0, np.nextafter(1.0, 0.0)],
         ])
         u = u[u < 1.0]
-        want = np.searchsorted(cum, u, side="right")
-        assert np.array_equal(_lookup(cum, guide, u), want)
+        want = np.searchsorted(cum, u, side="right") + first
         assert first == _span(theta)[0]
-        # The scalar path, fed the same uniforms by a stand-in stream.
+        assert cum[-1] == math.inf and np.all(np.diff(cum[:-1]) >= 0.0)
+        # The block path, fed the same uniforms by a stand-in generator.
+        assert np.array_equal(_sample_poisson_block(theta, _Uniforms(u), u.size), want)
         stream = _Uniforms(u.tolist())
-        assert [poisson_sampler(theta, stream) for _ in range(u.size)] == (want + first).tolist()
+        assert [poisson_sampler(theta, stream) for _ in range(u.size)] == want.tolist()
+
+
+class TestPinnedStream:
+    def test_generator_id(self):
+        assert GENERATOR_ID == "philox4x64:block65536:guide-inversion:v2"
+
+    @pytest.mark.parametrize("trials, seed, n, lam, budget, hits", PINNED_HITS)
+    def test_hits(self, trials, seed, n, lam, budget, hits):
+        res = simulate_coverage(SimConfig(trials, seed, n, lam, ErrorBudget(*budget)))
+        assert (res.hits, res.generator) == (hits, GENERATOR_ID)
+
+
+class TestHitThresholds:
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 50.0, 200.0, 3.8e4])
+    def test_thresholds_at_cdf_values(self, theta):
+        # u on each cdf value, just below it, 0 and the largest double below 1:
+        # the count on u is that of the inverse-cdf draws in the window.
+        first, cum = _table(theta)
+        u = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        ks = np.searchsorted(cum, u, side="right") + first
+        last = first + cum.size - 1  # the count of the inf sentinel
+        ends = {0, first - 1, first, first + 1, (first + last) // 2, last - 1, last, last + 1, 10**30}
+        ends = sorted(k for k in ends if k >= 0)
+        for k_min in ends:
+            for k_max in ends:
+                want = int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
+                assert _hits(u, first, cum, k_min, k_max) == want, (k_min, k_max)
+
+    @given(
+        n=st.integers(min_value=1, max_value=3000),
+        log_lam=st.floats(min_value=-4.0, max_value=2.5),
+        log_ea=st.floats(min_value=-4.0, max_value=3.0),
+        er=st.floats(min_value=0.01, max_value=0.9),
+        blocks=st.integers(min_value=1, max_value=3),
+        last=st.integers(min_value=1, max_value=65536),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_hits_equal_counted_draws(self, n, log_lam, log_ea, er, blocks, last, seed):
+        # The same spawned block streams, drawn as counts and counted in the window.
+        lam, budget = 10.0**log_lam, ErrorBudget(10.0**log_ea, er, 0.05)
+        trials = 65536 * (blocks - 1) + last
+        k_min, k_max = coverage_window(n, lam, budget)
+        want = 0
+        for i, child in enumerate(SeedSequence(seed).spawn(-(-trials // 65536))):
+            ks = _sample_poisson_block(n * lam, Generator(Philox(child)), min(65536, trials - i * 65536))
+            want += int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
+        assert simulate_coverage(SimConfig(trials, seed, n, lam, budget)).hits == want
 
 
 class TestBlockSamplerDistribution:
