@@ -15,7 +15,7 @@ boundary between the absolute- and relative-tolerance regimes.
 The closed form is conservative; ``min_sample_size_exact`` searches for the
 smallest n whose *exact* coverage clears 1 - delta at every mean of an
 explicit grid.  It scans n upward from 1 over the means nearest the regime
-boundary first; SEARCH_CAP bounds the scan.  Three certificates decide most
+boundary first; SEARCH_CAP bounds the scan.  Four certificates decide most
 (n, mean) pairs without a kernel sum, each proving what the kernel would
 decide.  With theta = n*lam, w the window's half-width, d = n*w + 1 and
 
@@ -49,13 +49,33 @@ which grows with |k - theta| on each side of theta:
    which does not increase.  The means whose bound exceeds delta/2 therefore
    form one band of lam about the boundary, and the others have coverage
    >= 1 - delta/2.
+4. Pass or reject one mean at its exact window ends.  Zubkov and Serov's
+   bounds are two-sided: for S ~ Bin(m, p) and 0 <= k < m,
+   Phi(s_m(k)) <= Pr{S <= k} <= Phi(s_m(k + 1)), with s_m(k) the signed root
+   of twice m times the Bernoulli divergence of k/m from p.  At p = theta/m,
+   as m grows, Pr{S <= k} tends to Pr{K <= k} and s_m(k) to
+   s(k) = sgn(k - theta) sqrt(2H(k, theta)), so the non-strict bounds hold
+   for K: Phi(s(k)) <= Pr{K <= k} <= Phi(s(k + 1)).  The miss
+   Pr{K <= k_min - 1} + 1 - Pr{K <= k_max} is therefore at most
+   [k_min >= 1] Phi(s(k_min)) + 1 - Phi(s(k_max)), which for
+   k_min < theta < k_max is [k_min >= 1] _tail_floor(theta, k_min - theta) +
+   _tail_floor(theta, k_max - theta), and at least the same sum at k_min - 1
+   and k_max + 1, for k_min - 1 < theta < k_max + 1, where k_min = 1 takes
+   Pr{K = 0} = e^{-theta} itself (_miss_verdict).  k_max is first clipped to
+   the span's end uc, as the kernel clips it: both bounds then hold for the
+   clipped window the kernel sums, which leaves out under 1e-16 below lc.
 
 Margins: the kernel errs by under 1e-11 (65,536 * 1e-16 per piece plus
 1e-16 per side) and 1 - delta rounds by 2^-54.  theta and d are each within
 three roundings of exact, so H is within about 15 ulps relative and
 erfc(sqrt(H))/2, whose derivative in H is at most e^{-H}/(2 sqrt(pi H)),
-within 1e-15 absolute.  A rejection needs M(n) > delta + REJECT_MARGIN
-(1e-10), leaving kernel coverage below 1 - delta; a band pass has kernel
+within 1e-15 absolute.  Certificate 4 forms each k - theta from exact
+integers below 2^53 with one rounding, so each of its terms is within
+1e-15 as well.  A rejection needs M(n), or the window's floor, above
+delta + REJECT_MARGIN (1e-10), leaving kernel coverage below
+1 - delta + 2e-15 + 1e-11 - 1e-10 < fl(1 - delta); a ceiling pass needs the
+ceiling at most delta - REJECT_MARGIN, leaving it at least
+1 - delta + 1e-10 - 2e-15 - 1e-11 > fl(1 - delta); a band pass has kernel
 coverage >= 1 - delta/2 - 1e-11 >= 1 - delta for delta >= 2e-11, and the
 certificates run only at delta >= SCREEN_DELTA_MIN = 1e-9.
 ``normal_approx_sample_size`` is the normal-approximation baseline.
@@ -82,7 +102,7 @@ from .errors import (
     scaled,
 )
 from .exact import (
-    THETA_MAX, CoveragePoint, _window_at, _window_mass, _window_ratios, exact_coverage
+    THETA_MAX, CoveragePoint, _span, _window_at, _window_mass, _window_ratios, exact_coverage
 )
 
 # Largest n the exact search tries.  Outside its skips the scan spends a
@@ -268,15 +288,16 @@ def min_sample_size_exact(
 ) -> PlanResult:
     """Smallest n whose exact coverage reaches 1 - delta at every grid mean.
 
-    Coverage oscillates with n (the feasible set can have holes just above
-    its lower edge), so the search scans n upward from 1 and returns the
-    first fully feasible value; every smaller n is thereby verified
-    infeasible.  An n is rejected at its first failing mean, so the means
-    are tried nearest the regime boundary epsilon_a/epsilon_r first, by
-    log distance (the mixed criterion binds there), and each mean that
-    fails moves to the front.  The order changes only the cost.
+    On a fixed grid the feasible set can have holes just above its lower
+    edge: theta = n*lam moves with n at each grid mean, so the coverage at
+    that mean oscillates with n.  So the search scans n upward from 1 and
+    returns the first fully feasible value; every smaller n is thereby
+    verified infeasible.  An n is rejected at its first failing mean, so
+    the means are tried nearest the regime boundary epsilon_a/epsilon_r
+    first, by log distance (the mixed criterion binds there), and each mean
+    that fails moves to the front.  The order changes only the cost.
 
-    At delta >= SCREEN_DELTA_MIN the three certificates of the module
+    At delta >= SCREEN_DELTA_MIN the four certificates of the module
     docstring stand in for kernel sums, each only at a mean with
     theta = n*lam <= THETA_MAX:
     - an n whose front mean has _miss_floor(theta, n*w + 1) above
@@ -286,9 +307,13 @@ def min_sample_size_exact(
     - where also n*w >= 1, the run of counts whose upper floor stays above
       delta + REJECT_MARGIN fails with it, found by _prefix_end once per
       mean;
-    - once the front mean passes, the other means are summed, in order,
+    - once the front mean passes, the other means are evaluated, in order,
       only inside the band where _chernoff_miss exceeds delta/2 (found by
-      two bisections over the grid sorted by lam) or past THETA_MAX.
+      two bisections over the grid sorted by lam) or past THETA_MAX;
+    - each window the search would sum, the front mean's and the band's,
+      goes first to _miss_verdict, and is summed only where its ceiling
+      does not pass it and its floor does not reject it; a band mean it
+      rejects moves to the front as a summed failure does.
     An n whose front-mean window is empty (lam >= w and n*(lam + w) <= 1
     leave k_max = 0 < k_min) fails at that mean, so the scan starts past
     the first front mean's run of them, and a mean that moves to the front
@@ -302,8 +327,10 @@ def min_sample_size_exact(
     The closed-form n meets the guarantee at every mean, so the scan stops
     at or below it without evaluating its wide windows.  Raises
     ResourceLimitError once the scan, or a skip, would try an n above
-    SEARCH_CAP.  The result is a statement about the supplied grid only -
-    means outside it are not checked.
+    SEARCH_CAP.  The result certifies the supplied grid only, not every
+    lam > 0: means between grid points are not checked, and the smallest n
+    that holds at every real lam can be larger (390 rather than 381 at the
+    canonical budget 0.1, 0.1, 0.05; ROADMAP.md, direction 1).
 
     A delta below EXACT_DELTA_MIN = 1e-14 raises ResourceLimitError naming
     delta: 1 - delta rounds by up to 2^-54 = 5.6e-17 and the span leaves out
@@ -353,6 +380,16 @@ def min_sample_size_exact(
     def passes(n: int, pos: int) -> bool:
         return _chernoff_miss(n, lams[by_lam[pos]], budget, pos >= split) <= half
 
+    def covers(n: int, theta: float, ratios) -> bool:
+        """The kernel's verdict on the window at n, or certificate 4's where it decides."""
+        k_min, k_max = _window_at(n, ratios)
+        verdict = None
+        if certify and theta <= THETA_MAX:
+            verdict = _miss_verdict(theta, k_min, k_max, budget.delta)
+        if verdict is None:
+            return _window_mass(theta, k_min, k_max) >= target
+        return verdict
+
     base = formula_sample_size(budget)
     n = window(order[0])[4]
     while n <= SEARCH_CAP:
@@ -368,7 +405,7 @@ def min_sample_size_exact(
                 front[3] = False
             n += 1
             continue
-        if _window_mass(theta, *_window_at(n, ratios)) < target:
+        if not covers(n, theta, ratios):
             n += 1
             continue
         lo, hi = 0, count
@@ -379,7 +416,7 @@ def min_sample_size_exact(
             theta = n * lams[idx]
             if theta <= THETA_MAX and not lo <= rank[idx] < hi:
                 continue
-            if _window_mass(theta, *_window_at(n, window(idx)[0])) < target:
+            if not covers(n, theta, window(idx)[0]):
                 order.remove(idx)
                 order.insert(0, idx)
                 n = max(n, window(idx)[4] - 1)  # the new front's empty windows fail too
@@ -410,6 +447,32 @@ def _miss_floor(theta: float, d: float) -> float:
     k_max + 1 <= theta + d and k_min - 1 > theta - d.
     """
     return _tail_floor(theta, d) + (_tail_floor(theta, -d) if d / theta < 1.0 else 0.0)
+
+
+def _miss_verdict(theta: float, k_min: int, k_max: int, delta: float) -> Optional[bool]:
+    """Certificate 4 on the window [k_min, k_max] at theta: True, False, or None if undecided.
+
+    True where the miss ceiling is at most delta - REJECT_MARGIN, False
+    where the miss floor exceeds delta + REJECT_MARGIN; the floor is tried
+    only where the ceiling does not pass.  k_max is clipped to the span's
+    end first (it may be a Python int past the double range), and each
+    k - theta is (k - floor(theta)) - frac(theta): an exact integer below
+    2^53 less an exact fraction, one rounding, so its sign is exact.
+    """
+    base = math.floor(theta)
+    frac = theta - base
+    k_max = min(k_max, _span(theta)[1])
+    below, above = k_min - base - frac, k_max - base - frac
+    if below < 0.0 < above:
+        ceiling = (_tail_floor(theta, below) if k_min else 0.0) + _tail_floor(theta, above)
+        if ceiling <= delta - REJECT_MARGIN:
+            return True
+    below, above = k_min - 1 - base - frac, k_max + 1 - base - frac
+    if below < 0.0 < above:
+        floor = _tail_floor(theta, below) if k_min > 1 else math.exp(-theta) if k_min else 0.0
+        if floor + _tail_floor(theta, above) > delta + REJECT_MARGIN:
+            return False
+    return None
 
 
 def _chernoff_miss(n: int, lam: float, budget: ErrorBudget, relative: bool) -> float:

@@ -499,6 +499,19 @@ def _no_certificate_panel(count, seed):
     ]
 
 
+def _windows_with_miss(theta):
+    """(k_min, k_max, miss) with ends within 12 sd of theta or in {0, 1, 2}, k_min <= k_max + 1.
+
+    miss = Pr{K <= k_min - 1} + Pr{K > k_max} for K ~ Poisson(theta), from
+    mpmath's incomplete gamma.
+    """
+    sd = math.sqrt(theta)
+    ends = sorted({max(0, round(theta + z * sd)) for z in range(-12, 13)} | {0, 1, 2})
+    cdf = {k: cdf_gamma_ref(theta, k) for k in {e + j for e in ends for j in (-1, 0)} if k >= 0}
+    return [(a, b, float((cdf[a - 1] if a else 0) + 1 - cdf[b]))
+            for a in ends for b in ends if a <= b + 1]
+
+
 def _miss_floor(n, lam, budget):
     """The front-mean rejection bound M(n) of min_sample_size_exact."""
     return plan._miss_floor(n * lam, n * max(budget.epsilon_a, budget.epsilon_r * lam) + 1.0)
@@ -550,11 +563,13 @@ class TestChernoffScreen:
         assert 1 - coverage_ref(n, lam, 0.1, 0.1) <= ref <= 0.025
 
     def test_search_skips_only_certified_means(self, monkeypatch):
-        # At the answer only the band is summed; every mean it passes unsummed
-        # has kernel mass >= 1 - delta/2.
+        # Every window the search leaves unsummed is decided by a certificate,
+        # and the kernel agrees with it: a band pass at the answer has mass
+        # >= 1 - delta/2, a ceiling pass more than 1 - delta, a floor
+        # rejection less.
         budget, n = ErrorBudget(0.1, 0.1, 0.05), EXACT_MIN_N_CANONICAL
-        kernel, window_at = plan._window_mass, plan._window_at
-        counts, summed = [], []
+        kernel, window_at, verdict = plan._window_mass, plan._window_at, plan._miss_verdict
+        counts, summed, decided = [], [], []
 
         def windowed(count, ratios):
             counts.append(count)
@@ -564,23 +579,36 @@ class TestChernoffScreen:
             summed.append((counts[-1], theta))
             return kernel(theta, k_min, k_max)
 
+        def recorded_verdict(theta, k_min, k_max, delta):
+            decided.append((counts[-1], theta, k_min, k_max, verdict(theta, k_min, k_max, delta)))
+            return decided[-1][-1]
+
         monkeypatch.setattr(plan, "_window_at", windowed)
         monkeypatch.setattr(plan, "_window_mass", recorded)
+        monkeypatch.setattr(plan, "_miss_verdict", recorded_verdict)
         assert min_sample_size_exact(budget).n == n
+        target = 1.0 - budget.delta
+        passed = [window for *window, v in decided if v is True]
+        failed = [window for *window, v in decided if v is False]
+        assert len(passed) > 10 and len(failed) > 10
+        assert all(kernel(theta, k_min, k_max) > target for _, theta, k_min, k_max in passed)
+        assert all(kernel(theta, k_min, k_max) < target for _, theta, k_min, k_max in failed)
         at_answer = {theta for count, theta in summed if count == n}
+        at_answer |= {theta for count, theta, *_ in passed if count == n}
         assert 0 < len(at_answer) < 100
-        certified = [lam for lam in default_lambda_grid(budget) if n * lam not in at_answer]
-        assert len(certified) > 100
-        for lam in certified:
+        banded = [lam for lam in default_lambda_grid(budget) if n * lam not in at_answer]
+        assert len(banded) > 100
+        for lam in banded:
             assert kernel(n * lam, *coverage_window(n, lam, budget)) >= 1.0 - budget.delta / 2.0
 
     @pytest.mark.parametrize(
         "budget, cap",
-        [(ErrorBudget(0.1, 0.1, 0.05), 55), (ErrorBudget(0.01, 0.05, 0.01), 231)],
+        [(ErrorBudget(0.1, 0.1, 0.05), 14), (ErrorBudget(0.01, 0.05, 0.01), 67)],
     )
     def test_kernel_sums_per_search(self, monkeypatch, budget, cap):
         # Without any certificate: 587 and 13,435 sums; with the earlier
-        # pass-only screen, 412 and 13,251.
+        # pass-only screen, 412 and 13,251; before the window-end bounds of
+        # certificate 4, 55 and 227.
         calls = []
         kernel = plan._window_mass
 
@@ -623,6 +651,67 @@ class TestChernoffScreen:
                 tail = cdf_gamma_ref(theta, k)
                 assert plan._tail_floor(theta, k - theta - 0.5) <= floor
             assert floor <= tail * (1 + 1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-2, 0.3, 1.0, 7.5, 40.0, 1e3, 3.3e4, 1e6])
+    def test_miss_ceiling_against_mpmath(self, theta):
+        # Each term: erfc(sqrt(H))/2 at a count k is above Pr{K <= k - 1} for
+        # k < theta and above Pr{K >= k + 1} for k > theta, out to 12 sd.  The
+        # sum: certificate 4 passes a window only where its ceiling is at most
+        # delta - REJECT_MARGIN, so at delta a hair below miss + REJECT_MARGIN
+        # no window passes (where the miss, 1e-15 or more, survives that sum).
+        sd = math.sqrt(theta)
+        for k in sorted({max(0, round(theta + z * sd)) for z in range(-12, 13)} | {1, 2}):
+            if 1 <= k < theta:
+                tail = cdf_gamma_ref(theta, k - 1)
+            elif k > theta:
+                tail = 1 - cdf_gamma_ref(theta, k)
+            else:
+                continue
+            # A tail below the double range rounds to 0, as the ceiling does.
+            assert plan._tail_floor(theta, k - theta) >= float(tail) * (1 - 1e-12)
+        for k_min, k_max, miss in _windows_with_miss(theta):
+            if k_min < theta < k_max and miss >= 1e-15:
+                delta = miss * (1 - 1e-9) + plan.REJECT_MARGIN
+                assert plan._miss_verdict(theta, k_min, k_max, delta) is not True, (k_min, k_max)
+
+    @pytest.mark.parametrize("theta", [1e-2, 0.3, 1.0, 7.5, 40.0, 1e3, 3.3e4, 1e6])
+    def test_miss_floor_at_window_ends_against_mpmath(self, theta):
+        # Certificate 4 rejects a window only where its floor exceeds delta +
+        # REJECT_MARGIN, so at delta a hair above miss - REJECT_MARGIN no
+        # window is rejected.  delta is negative where the miss is below the
+        # margin: the bound is under test, not a budget.  Its terms are
+        # test_tail_floors_against_mpmath's, and e^{-theta} = Pr{K = 0}.
+        for k_min, k_max, miss in _windows_with_miss(theta):
+            if k_min - 1 < theta < k_max + 1 and miss >= 1e-15:
+                delta = miss * (1 + 1e-9) - plan.REJECT_MARGIN
+                assert plan._miss_verdict(theta, k_min, k_max, delta) is not False, (k_min, k_max)
+
+    @given(
+        log_theta=st.floats(min_value=-2.0, max_value=6.0),
+        z_min=st.floats(min_value=-12.0, max_value=12.0),
+        z_max=st.floats(min_value=-12.0, max_value=12.0),
+        far=st.booleans(),
+    )
+    @example(log_theta=0.0, z_min=-1.0, z_max=0.0, far=True)
+    @settings(max_examples=200, deadline=None)
+    def test_miss_bounds_bracket_the_kernel(self, log_theta, z_min, z_max, far):
+        # Ceiling >= kernel miss - 1e-11 and floor <= kernel miss + 1e-11, on
+        # windows out to 12 sd either side (empty ones included), and on ends
+        # past the double range.
+        theta = 10.0**log_theta
+        sd = math.sqrt(theta)
+        k_min = max(0, math.floor(theta + z_min * sd))
+        k_max = 2**1100 if far else max(k_min - 1, math.floor(theta + z_max * sd))
+        miss = 1.0 - plan._window_mass(theta, k_min, k_max)
+        assert plan._miss_verdict(theta, k_min, k_max, miss + plan.REJECT_MARGIN - 1e-11) is not True
+        assert plan._miss_verdict(theta, k_min, k_max, miss - plan.REJECT_MARGIN + 1e-11) is not False
+
+    def test_window_end_past_the_double_range(self):
+        # k_max = 2^1100 is no double: certificate 4 clips it to the span's end
+        # before forming k_max - theta, so no OverflowError.  The miss is
+        # Pr{K = 0} = 0.0067 at k_min = 1 and Pr{K <= 3} = 0.265 at k_min = 4.
+        assert plan._miss_verdict(5.0, 1, 2**1100, 0.05) is True
+        assert plan._miss_verdict(5.0, 4, 2**1100, 0.05) is False
 
     @pytest.mark.parametrize("n", [50, 200, 381, 2000])
     @pytest.mark.parametrize("lam", [0.05, 0.1, 0.5, 1.0, 1.000001, 3.0])
@@ -753,12 +842,21 @@ class TestEmptyWindowSkip:
         assert coverage_window(n - 1, lam, budget) == (1, 0)
 
     def test_new_front_skips_its_empty_windows(self, monkeypatch):
-        # 1e-301 < eps_a passes at n = 1; 1e-295 then fails with an empty window,
-        # moves to the front, and stays empty up to SEARCH_CAP.
-        calls = self._kernel_calls(monkeypatch)
+        # 1e-301 < eps_a passes at n = 1; 1e-295 then fails with an empty window
+        # (by the miss floor, unsummed), moves to the front, and stays empty up
+        # to SEARCH_CAP: no window is formed past n = 1.
+        calls, counts = self._kernel_calls(monkeypatch), []
+        window_at = plan._window_at
+
+        def windowed(count, ratios):
+            counts.append(count)
+            return window_at(count, ratios)
+
+        monkeypatch.setattr(plan, "_window_at", windowed)
         with pytest.raises(ResourceLimitError, match="SEARCH_CAP = 1048576"):
             min_sample_size_exact(ErrorBudget(1e-300, 0.5, 0.05), grid=[1e-301, 1e-295])
-        assert calls == [(0, 0), (1, 0)]
+        assert calls == [(0, 0)]
+        assert counts == [1, 1]
 
 
 class TestNormalApprox:

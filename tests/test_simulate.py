@@ -167,14 +167,14 @@ class TestScalarSampler:
         b = [poisson_sampler(4.2, _stream(77)) for _ in range(100)]
         assert a == b
 
+    # The next two take their 10^6 draws as one block: the same draws the
+    # scalar path makes from the same stream (test_scalar_draws_equal_blocks_of_one).
     def test_tiny_mean_rarely_nonzero(self):
-        stream = _stream(55)
-        nonzero = sum(1 for _ in range(10**6) if poisson_sampler(1e-9, stream) != 0)
+        nonzero = np.count_nonzero(_sample_poisson_block(1e-9, _stream(55), 10**6))
         assert nonzero <= 5  # expected count is 1e-3
 
     def test_moments_at_moderate_mean(self):
-        stream = _stream(2024)
-        draws = np.array([poisson_sampler(5.0, stream) for _ in range(10**6)])
+        draws = _sample_poisson_block(5.0, _stream(2024), 10**6)
         assert abs(draws.mean() - 5.0) <= 3.0 * math.sqrt(5.0 / 1e6)
         assert abs(draws.var() - 5.0) <= 0.05 * 5.0
 
@@ -307,6 +307,31 @@ class TestBlockSamplerDistribution:
         stat = float(((obs - exp) ** 2 / exp).sum())
         p_value = float(sps.chi2.sf(stat, len(bins) - 1))
         assert p_value > 1e-6
+
+    @pytest.mark.parametrize("theta", [4.2, 762.0, 6e6])
+    def test_table_against_numpy_poisson(self, theta):
+        # The cdf table is exact._run, the kernel's own recurrence, so Monte
+        # Carlo agreeing with the kernel cannot catch a pmf error in it.  numpy's
+        # Generator.poisson draws by another algorithm (multiplication below
+        # theta = 10, PTRS above); 10^6 seeded draws must fit the table's pmf.
+        # Draws outside the table count in its end bins; bins are pooled from
+        # the left to expected counts >= 5, the remainder into the last.
+        trials = 10**6
+        first, cum = _table(theta)
+        expected = np.diff(cum[:-1], prepend=0.0) * trials
+        ks = _stream(2121).poisson(theta, trials)
+        observed = np.bincount(np.clip(ks - first, 0, expected.size - 1), minlength=expected.size)
+        bins, obs, exp = [], 0, 0.0
+        for o, e in zip(observed.tolist(), expected.tolist()):
+            obs, exp = obs + o, exp + e
+            if exp >= 5.0:
+                bins.append((obs, exp))
+                obs, exp = 0, 0.0
+        bins[-1] = (bins[-1][0] + obs, bins[-1][1] + exp)
+        o, e = np.array(bins).T
+        stat = float(((o - e) ** 2 / e).sum())
+        assert len(bins) > 10
+        assert float(sps.chi2.sf(stat, len(bins) - 1)) > 1e-6
 
     def test_continuity_across_span_seams(self):
         # The table's first count lc leaves 0 at theta = -ln(1e-16) = 36.84.
