@@ -43,7 +43,6 @@ from .simulate import (
     TRIALS_CAP,
     SimConfig,
     SimResult,
-    poisson_sampler,
     simulate_coverage,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "normal_quantile",
     "poisson_cdf",
     "poisson_pmf",
-    "poisson_sampler",
     "scan_coverage",
     "simulate_coverage",
     "tail_bound_abs",

@@ -46,9 +46,9 @@ which grows with |k - theta| on each side of theta:
    -x - ln(1 - x) >= 0.  The lower tail switches on at lam = epsilon_a, so
    the bound does not decrease; where the
    relative one binds it is exp(n*lam*h(epsilon_r)) + exp(n*lam*h(-epsilon_r)),
-   which does not increase.  The means whose bound exceeds delta/2 therefore
-   form one band of lam about the boundary, and the others have coverage
-   >= 1 - delta/2.
+   which does not increase.  The means whose bound exceeds any threshold
+   therefore form one band of lam about the boundary; the search passes
+   the others at the threshold delta - REJECT_MARGIN, certificate 4's.
 4. Pass or reject one mean at its exact window ends.  Zubkov and Serov's
    bounds are two-sided: for S ~ Bin(m, p) and 0 <= k < m,
    Phi(s_m(k)) <= Pr{S <= k} <= Phi(s_m(k + 1)), with s_m(k) the signed root
@@ -71,13 +71,16 @@ three roundings of exact, so H is within about 15 ulps relative and
 erfc(sqrt(H))/2, whose derivative in H is at most e^{-H}/(2 sqrt(pi H)),
 within 1e-15 absolute.  Certificate 4 forms each k - theta from exact
 integers below 2^53 with one rounding, so each of its terms is within
-1e-15 as well.  A rejection needs M(n), or the window's floor, above
-delta + REJECT_MARGIN (1e-10), leaving kernel coverage below
-1 - delta + 2e-15 + 1e-11 - 1e-10 < fl(1 - delta); a ceiling pass needs the
-ceiling at most delta - REJECT_MARGIN, leaving it at least
-1 - delta + 1e-10 - 2e-15 - 1e-11 > fl(1 - delta); a band pass has kernel
-coverage >= 1 - delta/2 - 1e-11 >= 1 - delta for delta >= 2e-11, and the
-certificates run only at delta >= SCREEN_DELTA_MIN = 1e-9.
+1e-15 as well.  _chernoff_miss forms each exponent x <= 0 within a few
+ulps, and e^x |x| <= 1/e, so it is within 2e-15 too.  A rejection needs
+M(n), or the window's floor, above delta + REJECT_MARGIN (1e-10), leaving
+kernel coverage below 1 - delta + 2e-15 + 1e-11 - 1e-10 < fl(1 - delta); a
+pass, by a window's ceiling or outside the band, needs its bound at most
+delta - REJECT_MARGIN, leaving kernel coverage at least
+1 - delta + 1e-10 - 2e-15 - 1e-11 > fl(1 - delta).  Both rules hold at every
+delta the search accepts.  Below delta = REJECT_MARGIN the pass threshold
+is negative and nothing passes unsummed; at it, only a bound that
+underflows to 0 passes.
 ``normal_approx_sample_size`` is the normal-approximation baseline.
 """
 
@@ -113,7 +116,6 @@ SEARCH_CAP = 2**20
 # Most log-spaced points lambda_grid builds; more raise ResourceLimitError
 # before any allocation (each point costs 8 bytes and one exact evaluation).
 GRID_CAP = 2**20
-SCREEN_DELTA_MIN = 1e-9  # smallest delta the exact search certifies at (min_sample_size_exact)
 # Relative error bound on the double rhs of the closed form, and on n*g_c
 # against ln(delta/2): a few ulps in _phi, the logarithm, the product and the
 # quotient, about 1e-15; 2^-44 = 5.7e-14 is over 50 times that.
@@ -297,9 +299,8 @@ def min_sample_size_exact(
     first, by log distance (the mixed criterion binds there), and each mean
     that fails moves to the front.  The order changes only the cost.
 
-    At delta >= SCREEN_DELTA_MIN the four certificates of the module
-    docstring stand in for kernel sums, each only at a mean with
-    theta = n*lam <= THETA_MAX:
+    The four certificates of the module docstring stand in for kernel
+    sums, each only at a mean with theta = n*lam <= THETA_MAX:
     - an n whose front mean has _miss_floor(theta, n*w + 1) above
       delta + REJECT_MARGIN fails unsummed; this is tried only where
       n*w > 1/2, as below that the window holds at most one count and its
@@ -308,8 +309,9 @@ def min_sample_size_exact(
       delta + REJECT_MARGIN fails with it, found by _prefix_end once per
       mean;
     - once the front mean passes, the other means are evaluated, in order,
-      only inside the band where _chernoff_miss exceeds delta/2 (found by
-      two bisections over the grid sorted by lam) or past THETA_MAX;
+      only inside the band where _chernoff_miss exceeds
+      delta - REJECT_MARGIN (found by two bisections over the grid, which
+      the search sorts by lam) or past THETA_MAX;
     - each window the search would sum, the front mean's and the band's,
       goes first to _miss_verdict, and is summed only where its ceiling
       does not pass it and its floor does not reject it; a band mean it
@@ -341,24 +343,18 @@ def min_sample_size_exact(
         raise ResourceLimitError(
             f"delta={budget.delta!r} is below the exact search's floor {EXACT_DELTA_MIN}", "delta"
         )
-    lams = tuple(default_lambda_grid(budget) if grid is None else grid)
+    lams = sorted(check_positive_real(lam, "grid")
+                  for lam in (default_lambda_grid(budget) if grid is None else grid))
     if not lams:
         raise ParameterError("grid", "grid must be non-empty")
-    for lam in lams:
-        check_positive_real(lam, "grid")
 
     count = len(lams)
-    target, half = 1.0 - budget.delta, budget.delta / 2.0
-    certify = budget.delta >= SCREEN_DELTA_MIN
-    reject = budget.delta + REJECT_MARGIN
+    target = 1.0 - budget.delta
+    reject, band = budget.delta + REJECT_MARGIN, budget.delta - REJECT_MARGIN
     log_boundary = math.log(budget.rel_boundary)
     order = sorted(range(count), key=lambda i: abs(math.log(lams[i]) - log_boundary))
-    by_lam = sorted(range(count), key=lams.__getitem__)
-    rank = [0] * count
-    for pos, idx in enumerate(by_lam):
-        rank[idx] = pos
-    # Positions below split take the absolute half-width (relative_binds is monotone in lam).
-    split = _prefix_end(0, count - 1, lambda pos: not relative_binds(lams[by_lam[pos]], budget)) + 1
+    # Means below split take the absolute half-width (relative_binds is monotone in lam).
+    split = _prefix_end(0, count - 1, lambda i: not relative_binds(lams[i], budget)) + 1
     windows = {}
 
     def window(idx: int) -> list:
@@ -370,22 +366,20 @@ def min_sample_size_exact(
         n*hi <= den, k_max = 0 < k_min.  n_e is capped at SEARCH_CAP + 1.
         """
         if idx not in windows:
-            relative = rank[idx] >= split
+            relative = idx >= split
             lo, hi, den = ratios = _window_ratios(lams[idx], budget, relative)
             w = budget.epsilon_r * lams[idx] if relative else budget.epsilon_a
             n_e = min(den // hi + 1, SEARCH_CAP + 1) if lo >= 0 else 1
             windows[idx] = [ratios, w, -(-2 * den // (hi - lo)), True, n_e]
         return windows[idx]
 
-    def passes(n: int, pos: int) -> bool:
-        return _chernoff_miss(n, lams[by_lam[pos]], budget, pos >= split) <= half
+    def passes(n: int, idx: int) -> bool:
+        return _chernoff_miss(n, lams[idx], budget, idx >= split) <= band
 
     def covers(n: int, theta: float, ratios) -> bool:
         """The kernel's verdict on the window at n, or certificate 4's where it decides."""
         k_min, k_max = _window_at(n, ratios)
-        verdict = None
-        if certify and theta <= THETA_MAX:
-            verdict = _miss_verdict(theta, k_min, k_max, budget.delta)
+        verdict = _miss_verdict(theta, k_min, k_max, budget.delta) if theta <= THETA_MAX else None
         if verdict is None:
             return _window_mass(theta, k_min, k_max) >= target
         return verdict
@@ -397,8 +391,7 @@ def min_sample_size_exact(
         front = window(order[0])
         ratios, w, n_w, skips, _ = front
         theta, spread = n * lam, n * w
-        if (certify and spread > 0.5 and theta <= THETA_MAX
-                and _miss_floor(theta, spread + 1.0) > reject):
+        if spread > 0.5 and theta <= THETA_MAX and _miss_floor(theta, spread + 1.0) > reject:
             if skips and n >= n_w:
                 n = max(n, _prefix_end(n, SEARCH_CAP, lambda m: m * lam <= THETA_MAX
                                        and _tail_floor(m * lam, m * w + 1.0) > reject))
@@ -408,13 +401,11 @@ def min_sample_size_exact(
         if not covers(n, theta, ratios):
             n += 1
             continue
-        lo, hi = 0, count
-        if certify:
-            lo = _prefix_end(0, split - 1, lambda pos: passes(n, pos)) + 1
-            hi = _prefix_end(split, count - 1, lambda pos: not passes(n, pos)) + 1
+        lo = _prefix_end(0, split - 1, lambda i: passes(n, i)) + 1
+        hi = _prefix_end(split, count - 1, lambda i: not passes(n, i)) + 1
         for idx in order[1:]:
             theta = n * lams[idx]
-            if theta <= THETA_MAX and not lo <= rank[idx] < hi:
+            if theta <= THETA_MAX and not lo <= idx < hi:
                 continue
             if not covers(n, theta, window(idx)[0]):
                 order.remove(idx)

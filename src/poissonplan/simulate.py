@@ -19,17 +19,15 @@ in the window [k_min, k_max] exactly when cdf(k_min - 1) <= u < cdf(k_max),
 so simulate_coverage counts hits on the uniforms and draws no counts.
 GENERATOR_ID keeps its name, guide inversion included: the streams and
 the inverse-cdf map it was defined with are unchanged, and so is every
-draw and every hit count.  A scalar draw is the same lookup as a block of
-one.  The table is capped at TABLE_CAP entries (means up to about 2.7e9);
-larger means raise ResourceLimitError, which the command line reports
-with exit code 2.
+hit count.  The table is capped at TABLE_CAP entries (means up to about
+2.7e9); larger means raise ResourceLimitError, which the command line
+reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -77,7 +75,6 @@ class SimResult:
     generator: str = GENERATOR_ID
 
 
-@lru_cache(maxsize=1)
 def _table(theta: float) -> Tuple[int, np.ndarray]:
     """(first, cum): the cdf table of Poisson(theta) over its certified span.
 
@@ -98,26 +95,7 @@ def _table(theta: float) -> Tuple[int, np.ndarray]:
     p0, down, up = _run(theta, lo, hi)
     pmf = p0 * np.concatenate((down[::-1], [1.0], up))
     cum = np.append(np.cumsum(pmf), np.inf)
-    cum.flags.writeable = False
     return lo, cum
-
-
-def _sample_poisson_block(theta: float, rng: Generator, size: int) -> np.ndarray:
-    """``size`` Poisson(theta) draws as int64, one uniform each."""
-    first, cum = _table(theta)
-    return cum.searchsorted(rng.random(size), "right") + first
-
-
-def poisson_sampler(theta: float, stream: Generator) -> int:
-    """One exact Poisson(theta) variate from ``stream``.
-
-    Consumes one uniform and returns the same count as a block of one from
-    ``_sample_poisson_block``, so the draw is a pure function of the stream
-    state.  Means whose cdf table exceeds TABLE_CAP entries (above about
-    2.7e9) raise ResourceLimitError.
-    """
-    first, cum = _table(check_positive_real(theta, "theta"))
-    return first + int(cum.searchsorted(stream.random(), "right"))
 
 
 def _hits(u: np.ndarray, first: int, cum: np.ndarray, k_min: int, k_max: int) -> int:

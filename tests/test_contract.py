@@ -16,7 +16,6 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
 
 from poissonplan import (
     ErrorBudget,
@@ -39,7 +38,6 @@ from poissonplan import (
     normal_quantile,
     poisson_cdf,
     poisson_pmf,
-    poisson_sampler,
     scan_coverage,
     tail_bound_abs,
     tail_bound_rel,
@@ -83,7 +81,6 @@ POSITIVE_ARGS = [
     ("normal_approx_sample_size.delta",
      lambda x: normal_approx_sample_size(1.0, 0.1, x), "delta"),
     ("SimConfig.lam", lambda x: SimConfig(trials=10, seed=0, n=5, lam=x, budget=B), "lam"),
-    ("poisson_sampler.theta", lambda x: poisson_sampler(x, Generator(Philox(0))), "theta"),
 ]
 
 # Arguments whose finite values of either sign are valid (r = 0 included):

@@ -479,7 +479,7 @@ class TestWindowMassInternals:
     def test_half_tail_at_1e11_matches_mpmath(self):
         # About 3.2e6 terms above the mode, in anchored pieces of 65,536.
         theta = 1e11
-        ref = 1 - cdf_gamma_ref(theta, int(theta))
+        ref = HALF_TAIL_1E11
         got = _window_mass(theta, int(theta) + 1, _span(theta)[1])
         assert got == pytest.approx(float(ref), abs=2e-15)
 
@@ -515,19 +515,34 @@ def test_span_is_certified_by_the_chernoff_bound():
     assert bad == []
 
 
+# mpmath's gammainc takes seconds at theta = 1e11, so its three values there
+# are frozen, as mpmath prints them at the oracle's mp.dps = 60:
+#   HALF_TAIL_1E11 = 1 - cdf_gamma_ref(1e11, 10**11)
+#   SWITCH_CDF_1E11 = (cdf_gamma_ref(1e11, lo - 1), cdf_gamma_ref(1e11, hi))
+# with lo = 99998418844 and hi = 100001581156, _switch_case's window at 1e11.
+HALF_TAIL_1E11 = mpmath.mpf("0.499999158955825994354651473291119707385110624088588277630088042")
+SWITCH_CDF_1E11 = (
+    mpmath.mpf("0.000000286549709392573902615644007048315597867361491875594921000674866"),
+    mpmath.mpf("0.999999713412688879389317415712166189117296763420242305620772191"),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _switch_case(theta):
     """(lc, uc, lo, hi, cdf(lo - 1), cdf(hi)) for the route-switch window at theta.
 
     [lc, uc] is the certified span and [lo, hi] the narrowest window centred
     in it whose complement in the span has fewer terms.  The two mpmath
-    values serve every test below, since gammainc takes seconds at 1e11.
+    values serve every test below; at 1e11 they are SWITCH_CDF_1E11.
     """
     lc, uc = _span(theta)
     span = uc - lc + 1
     width = span // 2 + 1
     lo = lc + (span - width) // 2
     hi = lo + width - 1
+    if theta == 1e11:
+        assert (lo, hi) == (99998418844, 100001581156)
+        return (lc, uc, lo, hi, *SWITCH_CDF_1E11)
     return lc, uc, lo, hi, cdf_gamma_ref(theta, lo - 1), cdf_gamma_ref(theta, hi)
 
 

@@ -456,11 +456,12 @@ class TestMinSampleSizeExact:
             st.tuples(st.floats(min_value=0.05, max_value=0.3),
                       st.floats(min_value=0.05, max_value=0.3),
                       st.floats(min_value=0.02, max_value=0.2)),
-            # Both sides of the Chernoff screen's floor, plan.SCREEN_DELTA_MIN = 1e-9,
-            # with tolerances that keep the answers near 1000 to 3000.
+            # delta log-uniform down to plan.EXACT_DELTA_MIN, both sides of
+            # REJECT_MARGIN = 1e-10, below which no bound passes a mean, with
+            # tolerances that keep the answers near 1000 to 3500.
             st.tuples(st.floats(min_value=0.15, max_value=0.3),
                       st.floats(min_value=0.15, max_value=0.3),
-                      st.floats(min_value=1e-12, max_value=1e-8)),
+                      st.floats(min_value=-14.0, max_value=-8.0).map(lambda e: 10.0**e)),
         ),
         octaves=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=8),
         data=st.data(),
@@ -512,6 +513,18 @@ def _windows_with_miss(theta):
             for a in ends for b in ends if a <= b + 1]
 
 
+def _uncertified(monkeypatch):
+    """Switch every certificate of min_sample_size_exact off: it sums each window it visits.
+
+    No floor rejects (certificates 1 and 2), no Chernoff bound passes a
+    mean (3), and no window end decides (4).
+    """
+    monkeypatch.setattr(plan, "_miss_floor", lambda theta, d: 0.0)
+    monkeypatch.setattr(plan, "_tail_floor", lambda theta, d: 0.0)
+    monkeypatch.setattr(plan, "_chernoff_miss", lambda n, lam, budget, relative: math.inf)
+    monkeypatch.setattr(plan, "_miss_verdict", lambda theta, k_min, k_max, delta: None)
+
+
 def _miss_floor(n, lam, budget):
     """The front-mean rejection bound M(n) of min_sample_size_exact."""
     return plan._miss_floor(n * lam, n * max(budget.epsilon_a, budget.epsilon_r * lam) + 1.0)
@@ -523,7 +536,7 @@ class TestChernoffScreen:
     @given(
         ea=st.floats(min_value=1e-3, max_value=1.0),
         er=st.floats(min_value=0.01, max_value=0.9),
-        log_d=st.floats(min_value=-9.0, max_value=math.log10(0.6)),
+        log_d=st.floats(min_value=-14.0, max_value=math.log10(0.6)),
         frac=st.floats(min_value=0.05, max_value=2.0),
         later=st.floats(min_value=1.0, max_value=4.0),
         octave=st.floats(min_value=-3.0, max_value=3.0),
@@ -531,15 +544,16 @@ class TestChernoffScreen:
     @example(ea=0.1, er=0.1, log_d=math.log10(0.05), frac=0.5, later=1.0, octave=0.0)
     @settings(max_examples=200, deadline=None)
     def test_accepted_window_covers_one_minus_half_delta(self, ea, er, log_d, frac, later, octave):
-        # Band passes have kernel mass >= 1 - delta/2, certified rejections fail
-        # at the kernel, and past n*w >= 1 the upper floor does not increase.
+        # Band passes, at a bound of at most delta - REJECT_MARGIN, have kernel
+        # coverage above 1 - delta, certified rejections fail at the kernel, and
+        # past n*w >= 1 the upper floor does not increase.
         budget = ErrorBudget(ea, er, 10.0**log_d)
         n = max(1, int(frac * formula_sample_size(budget).n))
         lam = budget.rel_boundary * 2.0**octave
         relative = relative_binds(lam, budget)
         coverage = exact_coverage(n, lam, budget).coverage
-        if plan._chernoff_miss(n, lam, budget, relative) <= budget.delta / 2.0:
-            assert coverage >= 1.0 - budget.delta / 2.0 - 1e-12
+        if plan._chernoff_miss(n, lam, budget, relative) <= budget.delta - plan.REJECT_MARGIN:
+            assert coverage > 1.0 - budget.delta
         if _miss_floor(n, lam, budget) > budget.delta + plan.REJECT_MARGIN:
             assert coverage < 1.0 - budget.delta
         w = max(ea, er * lam)
@@ -564,9 +578,8 @@ class TestChernoffScreen:
 
     def test_search_skips_only_certified_means(self, monkeypatch):
         # Every window the search leaves unsummed is decided by a certificate,
-        # and the kernel agrees with it: a band pass at the answer has mass
-        # >= 1 - delta/2, a ceiling pass more than 1 - delta, a floor
-        # rejection less.
+        # and the kernel agrees with it: a band pass at the answer and a
+        # ceiling pass have coverage above 1 - delta, a floor rejection below.
         budget, n = ErrorBudget(0.1, 0.1, 0.05), EXACT_MIN_N_CANONICAL
         kernel, window_at, verdict = plan._window_mass, plan._window_at, plan._miss_verdict
         counts, summed, decided = [], [], []
@@ -599,16 +612,18 @@ class TestChernoffScreen:
         banded = [lam for lam in default_lambda_grid(budget) if n * lam not in at_answer]
         assert len(banded) > 100
         for lam in banded:
-            assert kernel(n * lam, *coverage_window(n, lam, budget)) >= 1.0 - budget.delta / 2.0
+            assert kernel(n * lam, *coverage_window(n, lam, budget)) > target
 
     @pytest.mark.parametrize(
         "budget, cap",
-        [(ErrorBudget(0.1, 0.1, 0.05), 14), (ErrorBudget(0.01, 0.05, 0.01), 67)],
+        [(ErrorBudget(0.1, 0.1, 0.05), 14), (ErrorBudget(0.01, 0.05, 0.01), 67),
+         (ErrorBudget(0.1, 0.1, 9.9e-10), 30), (ErrorBudget(0.01, 0.05, 9.9e-10), 430)],
     )
     def test_kernel_sums_per_search(self, monkeypatch, budget, cap):
         # Without any certificate: 587 and 13,435 sums; with the earlier
         # pass-only screen, 412 and 13,251; before the window-end bounds of
-        # certificate 4, 55 and 227.
+        # certificate 4, 55 and 227.  At delta = 9.9e-10 the certificates once
+        # switched off below 1e-9, which cost 3,968 and 75,006 sums.
         calls = []
         kernel = plan._window_mass
 
@@ -624,15 +639,22 @@ class TestChernoffScreen:
     def test_tiny_delta_at_and_below_the_floor(self, monkeypatch, delta, n):
         budget = ErrorBudget(0.1, 0.1, delta)
         assert min_sample_size_exact(budget).n == n
-        monkeypatch.setattr(plan, "SCREEN_DELTA_MIN", 1.0)  # no screen at any delta
+        _uncertified(monkeypatch)
         assert min_sample_size_exact(budget).n == n
 
     def test_no_certificate_panel(self, monkeypatch):
-        # SCREEN_DELTA_MIN = 1.0 turns all three certificates off.
         budgets = _no_certificate_panel(300, 19)
         certified = [min_sample_size_exact(b).n for b in budgets]
-        monkeypatch.setattr(plan, "SCREEN_DELTA_MIN", 1.0)
+        _uncertified(monkeypatch)
         assert [min_sample_size_exact(b).n for b in budgets] == certified
+
+    def test_bound_inside_the_margin_passes_no_mean(self, monkeypatch):
+        # A Chernoff bound above delta - REJECT_MARGIN passes nothing, even
+        # one below delta: every mean is summed or decided at its window ends.
+        budget = ErrorBudget(0.1, 0.1, 0.05)
+        monkeypatch.setattr(plan, "_chernoff_miss",
+                            lambda n, lam, b, relative: b.delta - plan.REJECT_MARGIN / 2.0)
+        assert min_sample_size_exact(budget).n == EXACT_MIN_N_CANONICAL
 
     @pytest.mark.parametrize("theta", [1e-2, 0.3, 1.0, 7.5, 40.0, 1e3, 3.3e4, 1e6])
     def test_tail_floors_against_mpmath(self, theta):
@@ -736,8 +758,9 @@ class TestChernoffScreen:
 
     def test_small_grid_matches_brute_force(self):
         budget = ErrorBudget(0.1, 0.1, 0.05)
-        grid = [0.01, 0.3, 0.9, 1.0, 1.1, 4.0, 30.0]
-        assert min_sample_size_exact(budget, grid=grid).n == min_n_grid_ref(budget, grid)
+        # Sorted, then unsorted with a repeated mean (answer 288).
+        for grid in ([0.01, 0.3, 0.9, 1.0, 1.1, 4.0, 30.0], [1.33, 0.16, 3.52, 1.33]):
+            assert min_sample_size_exact(budget, grid=grid).n == min_n_grid_ref(budget, grid)
 
     @pytest.mark.parametrize("lam", [1e16, 1e300])
     def test_mean_outside_kernel_domain_still_raises(self, lam):

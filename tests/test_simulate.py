@@ -1,4 +1,4 @@
-"""Tests for the seeded Monte Carlo coverage estimator and Poisson samplers."""
+"""Tests for the seeded Monte Carlo coverage estimator and its inverse-cdf table."""
 
 import math
 
@@ -19,13 +19,10 @@ from poissonplan import (
     coverage_window,
     exact_coverage,
     poisson_pmf,
-    poisson_sampler,
     simulate_coverage,
 )
 from poissonplan.exact import _span
-from poissonplan.simulate import (
-    GENERATOR_ID, TABLE_CAP, _hits, _sample_poisson_block, _table
-)
+from poissonplan.simulate import GENERATOR_ID, TABLE_CAP, _hits, _table
 
 E_INV = 0.36787944117144233
 
@@ -52,6 +49,16 @@ PINNED_HITS = [
 
 def _stream(seed):
     return Generator(Philox(SeedSequence(seed)))
+
+
+def _draws(theta, u):
+    """The counts the uniforms u stand for: first + cum.searchsorted(u, "right").
+
+    The inverse-cdf map over _table that GENERATOR_ID names; simulate_coverage
+    counts hits on u and never forms these.
+    """
+    first, cum = _table(theta)
+    return first + cum.searchsorted(u, "right")
 
 
 class TestReproducibility:
@@ -128,13 +135,8 @@ class TestSimulateCoverage:
         assert TABLE_CAP == 2**20
         for theta in (2.8e9, 2.0**54):
             with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
-                poisson_sampler(theta, _stream(1))
-            with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
-                _sample_poisson_block(theta, _stream(1), 10)
-        with pytest.raises(ParameterError) as excinfo:  # rejected by the input contract, not the cap
-            poisson_sampler(math.inf, _stream(1))
-        assert excinfo.value.param == "theta"
-        assert poisson_sampler(2.7e9, _stream(1)) > 0  # just inside the cap
+                _table(theta)
+        assert _draws(2.7e9, _stream(1).random()) > 0  # just inside the cap
 
     def test_mean_past_double_range_raises(self):
         # n*lam forms theta = inf, which the table refuses before _span sees it.
@@ -162,58 +164,30 @@ class TestSimulateCoverage:
 
 
 class TestScalarSampler:
-    def test_deterministic_given_stream(self):
-        a = [poisson_sampler(4.2, _stream(77)) for _ in range(100)]
-        b = [poisson_sampler(4.2, _stream(77)) for _ in range(100)]
-        assert a == b
+    """Draws from the cdf table through _draws, one uniform each."""
 
-    # The next two take their 10^6 draws as one block: the same draws the
-    # scalar path makes from the same stream (test_scalar_draws_equal_blocks_of_one).
+    def test_deterministic_given_stream(self):
+        a = _draws(4.2, _stream(77).random(100))
+        b = _draws(4.2, _stream(77).random(100))
+        assert np.array_equal(a, b)
+
     def test_tiny_mean_rarely_nonzero(self):
-        nonzero = np.count_nonzero(_sample_poisson_block(1e-9, _stream(55), 10**6))
+        nonzero = np.count_nonzero(_draws(1e-9, _stream(55).random(10**6)))
         assert nonzero <= 5  # expected count is 1e-3
 
     def test_moments_at_moderate_mean(self):
-        draws = _sample_poisson_block(5.0, _stream(2024), 10**6)
+        draws = _draws(5.0, _stream(2024).random(10**6))
         assert abs(draws.mean() - 5.0) <= 3.0 * math.sqrt(5.0 / 1e6)
         assert abs(draws.var() - 5.0) <= 0.05 * 5.0
 
     def test_moments_when_table_starts_above_zero(self):
-        stream = _stream(88)
-        draws = np.array([poisson_sampler(200.0, stream) for _ in range(100_000)])
+        draws = _draws(200.0, _stream(88).random(100_000))
         assert abs(draws.mean() - 200.0) <= 3.0 * math.sqrt(200.0 / 1e5)
         assert abs(draws.var() - 200.0) <= 0.05 * 200.0
 
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            poisson_sampler(0.0, _stream(1))
-
-    @pytest.mark.parametrize("theta", [1e-9, 4.2, 200.0, 1e6])
-    def test_scalar_draws_equal_blocks_of_one(self, theta):
-        scalar, block = _stream(606), _stream(606)
-        a = [poisson_sampler(theta, scalar) for _ in range(10**4)]
-        b = [int(_sample_poisson_block(theta, block, 1)[0]) for _ in range(10**4)]
-        assert a == b
-        assert scalar.random() == block.random()  # one uniform per draw on both paths
-
-
-class _Uniforms:
-    """A stand-in stream whose random() returns the given values in order.
-
-    random(size) returns an array of the next size values.
-    """
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self, size=None):
-        if size is None:
-            return next(self._values)
-        return np.fromiter(self._values, dtype=np.float64, count=size)
-
 
 class TestGuideLookup:
-    """Block and scalar draws are the plain inverse cdf: first + searchsorted(cum, u, "right")."""
+    """The draw on u is the smallest count k with cdf(k) > u."""
 
     @pytest.mark.parametrize("theta", [1e-9, 0.5, 5.0, 63.0, 200.0, 3.8e4, 1.5e6])
     def test_equals_plain_inverse_cdf(self, theta):
@@ -225,13 +199,11 @@ class TestGuideLookup:
             [0.0, np.nextafter(1.0, 0.0)],
         ])
         u = u[u < 1.0]
-        want = np.searchsorted(cum, u, side="right") + first
         assert first == _span(theta)[0]
         assert cum[-1] == math.inf and np.all(np.diff(cum[:-1]) >= 0.0)
-        # The block path, fed the same uniforms by a stand-in generator.
-        assert np.array_equal(_sample_poisson_block(theta, _Uniforms(u), u.size), want)
-        stream = _Uniforms(u.tolist())
-        assert [poisson_sampler(theta, stream) for _ in range(u.size)] == want.tolist()
+        j = _draws(theta, u) - first
+        assert np.all(u < cum[j])
+        assert np.all((j == 0) | (cum[np.maximum(j - 1, 0)] <= u))
 
 
 class TestPinnedStream:
@@ -278,7 +250,7 @@ class TestHitThresholds:
         k_min, k_max = coverage_window(n, lam, budget)
         want = 0
         for i, child in enumerate(SeedSequence(seed).spawn(-(-trials // 65536))):
-            ks = _sample_poisson_block(n * lam, Generator(Philox(child)), min(65536, trials - i * 65536))
+            ks = _draws(n * lam, Generator(Philox(child)).random(min(65536, trials - i * 65536)))
             want += int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
         assert simulate_coverage(SimConfig(trials, seed, n, lam, budget)).hits == want
 
@@ -287,7 +259,7 @@ class TestBlockSamplerDistribution:
     @pytest.mark.parametrize("theta", [0.5, 5.0, 50.0, 1e4])
     def test_chi_square_goodness_of_fit(self, theta):
         trials = 10**6
-        ks = _sample_poisson_block(theta, _stream(101), trials)
+        ks = _draws(theta, _stream(101).random(trials))
         counts = np.bincount(ks).astype(float)
         expected = np.array(
             [poisson_pmf(theta, k) for k in range(counts.size)]
@@ -340,5 +312,5 @@ class TestBlockSamplerDistribution:
         # Means either side of each seam give plausible moments.
         assert [_span(t)[0] for t in (36.8, 36.9, 160.0, 165.0)] == [0, 1, 1, 2]
         for theta in (36.8, 36.9, 160.0, 165.0):
-            ks = _sample_poisson_block(theta, _stream(303), 200_000)
+            ks = _draws(theta, _stream(303).random(200_000))
             assert abs(ks.mean() - theta) <= 3.0 * math.sqrt(theta / 2e5)
