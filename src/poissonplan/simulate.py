@@ -7,20 +7,24 @@ integer window of the event, the same window the exact oracle integrates.
 Streams are built on the counter-based Philox bit generator, whose raw
 output is stable across platforms and numpy versions.  Trials are split
 into fixed-size blocks, one spawned substream per block; the block size and
-the per-block spawn are part of the pinned stream definition.  Variates
-come from this module's own sampler rather than the numpy distribution
-methods, whose streams may change between numpy releases: one inverse-cdf
-lookup per draw, consuming exactly one uniform u and returning the smallest
-k with cdf(k) > u.  The cdf table covers the exact module's certified span
-theta -+ (10*sqrt(theta) + 35), outside which less than 1e-16 of the mass
-lies on either side; its pmf is one run of the exact window kernel
-(exact._run), and it is built once per mean.  Under that map a count lies
-in the window [k_min, k_max] exactly when cdf(k_min - 1) <= u < cdf(k_max),
-so simulate_coverage counts hits on the uniforms and draws no counts.
-GENERATOR_ID keeps its name, guide inversion included: the streams and
-the inverse-cdf map it was defined with are unchanged, and so is every
-hit count.  The table is capped at TABLE_CAP entries (means up to about
-2.7e9); larger means raise ResourceLimitError, which the command line
+the per-block spawn are part of the pinned stream definition.  Each trial
+takes one raw 64-bit word r of its block's Philox stream, and this module,
+not numpy's distribution methods, maps it to a count: the uniform
+u = (r >> 11) * 2^-53 (the map numpy's Generator.random applies to Philox),
+then one inverse-cdf lookup, the smallest k with cdf(k) > u.  The cdf table
+covers the exact module's certified span theta -+ (10*sqrt(theta) + 35),
+outside which less than 1e-16 of the mass lies on either side; its pmf is
+one run of the exact window kernel (exact._run), and it is built once per
+mean.  Under that map a count lies in the window [k_min, k_max] exactly
+when cdf(k_min - 1) <= u < cdf(k_max), and a cdf value x bounds u from
+below exactly where the word reaches B(x) = ceil(x * 2^53) << 11, clamped
+to [0, 2^64]: u >= x iff r >= B(x).  So simulate_coverage turns the
+window's two cdf values into words once per call and counts hits on the
+raw words, with no uniform or count formed.  B is part of the stream
+definition.  GENERATOR_ID keeps its name, guide inversion included: the
+streams and the inverse-cdf map it was defined with are unchanged, and so
+is every hit count.  The table is capped at TABLE_CAP entries (means up to
+about 2.7e9); larger means raise ResourceLimitError, which the command line
 reports with exit code 2.
 """
 
@@ -28,15 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .budget import ErrorBudget
 from .errors import (
     ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
 )
 from .exact import THETA_MAX, _run, _span, coverage_window
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRIALS_CAP = 10**9
 GENERATOR_ID = "philox4x64:block65536:guide-inversion:v2"
@@ -86,6 +91,8 @@ def _table(theta: float) -> Tuple[int, np.ndarray]:
     ResourceLimitError above TABLE_CAP entries, and for a theta past the
     exact kernel's domain (inf included).
     """
+    import numpy as np
+
     lo, hi = _span(theta) if theta <= THETA_MAX else (0, TABLE_CAP)
     if hi - lo >= TABLE_CAP:
         raise ResourceLimitError(
@@ -98,18 +105,49 @@ def _table(theta: float) -> Tuple[int, np.ndarray]:
     return lo, cum
 
 
-def _hits(u: np.ndarray, first: int, cum: np.ndarray, k_min: int, k_max: int) -> int:
-    """How many draws first + searchsorted(cum, u, "right") lie in [k_min, k_max], counted on u.
+def _word(x: float) -> int:
+    """B(x) = ceil(x * 2^53) << 11, clamped to 2^64: the least word whose uniform is >= x.
 
-    The draw is K = first + (smallest j with cum[j] > u), so K <= k_max iff
-    u < hi = cum[k_max - first] and K >= k_min iff lo = cum[k_min - first - 1]
-    <= u.  A negative index stands for -inf (no count lies below first); an
-    index past the table clips to its inf sentinel.
+    For a cdf value x >= 0 (the inf sentinel included) and a word r,
+    (r >> 11) * 2^-53 >= x iff (r >> 11) >= ceil(x * 2^53) iff r >= B(x);
+    x * 2^53 is exact for every double below 1.  B(x) = 2^64, past every
+    word, where no uniform reaches x (x > 1 - 2^-53).
+    """
+    return math.ceil(min(x, 1.0) * 2.0**53) << 11
+
+
+def _word_range(first: int, cum: np.ndarray, k_min: int, k_max: int) -> Tuple[int, int]:
+    """(start, width): the words r whose draw lies in [k_min, k_max], start <= r < start + width.
+
+    The draw on the word's uniform u is first + searchsorted(cum, u, "right"),
+    the count K = first + (smallest j with cum[j] > u), so K <= k_max iff
+    u < cum[k_max - first] and K >= k_min iff cum[k_min - first - 1] <= u;
+    _word turns each cdf value into a word.  A negative index stands for
+    word 0 (no count lies below first); an index past the table clips to
+    its inf sentinel, word 2^64.  width <= 0 holds no word, 2^64 every one.
     """
     top = cum.size - 1
-    lo = cum[min(k_min - first - 1, top)] if k_min > first else -np.inf
-    hi = cum[min(k_max - first, top)] if k_max >= first else -np.inf
-    return int(np.count_nonzero((lo <= u) & (u < hi)))
+    start = _word(cum[min(k_min - first - 1, top)]) if k_min > first else 0
+    end = _word(cum[min(k_max - first, top)]) if k_max >= first else 0
+    return start, end - start
+
+
+def _hits(r: np.ndarray, start: int, width: int) -> int:
+    """How many raw words of r lie in [start, start + width); r is overwritten.
+
+    One unsigned test per word, (r - start) mod 2^64 < width, done in place.
+    With (start, width) from _word_range, this counts the words whose
+    inverse-cdf draw lies in the window, without forming a uniform or a
+    count; the word bound B of _word is part of the stream definition.
+    """
+    import numpy as np
+
+    if width >= 2**64:  # every word: 2^64 itself is no uint64
+        return r.size
+    if width <= 0:
+        return 0
+    np.subtract(r, np.uint64(start), out=r)
+    return int(np.count_nonzero(r < np.uint64(width)))
 
 
 def simulate_coverage(cfg: SimConfig) -> SimResult:
@@ -119,7 +157,7 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
     table exceeds TABLE_CAP entries, or that overflow a double, raise
     ResourceLimitError.
     """
-    from numpy.random import Generator, Philox, SeedSequence  # only sampling needs numpy.random
+    from numpy.random import Philox, SeedSequence  # only sampling needs numpy.random
 
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
@@ -127,15 +165,15 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
         )
     theta = scaled(cfg.n, cfg.lam)
     first, cum = _table(theta)  # refuses an over-cap mean before any other work
-    k_min, k_max = coverage_window(cfg.n, cfg.lam, cfg.budget)
+    start, width = _word_range(first, cum, *coverage_window(cfg.n, cfg.lam, cfg.budget))
 
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     children = SeedSequence(cfg.seed).spawn(n_blocks)
 
     hits = 0
     for i, child in enumerate(children):
-        u = Generator(Philox(child)).random(min(_BLOCK, cfg.trials - i * _BLOCK))
-        hits += _hits(u, first, cum, k_min, k_max)
+        r = Philox(child).random_raw(min(_BLOCK, cfg.trials - i * _BLOCK))
+        hits += _hits(r, start, width)
 
     estimate = hits / cfg.trials
     half_width = 3.0 * math.sqrt(estimate * (1.0 - estimate) / cfg.trials)

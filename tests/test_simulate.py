@@ -22,7 +22,7 @@ from poissonplan import (
     simulate_coverage,
 )
 from poissonplan.exact import _span
-from poissonplan.simulate import GENERATOR_ID, TABLE_CAP, _hits, _table
+from poissonplan.simulate import GENERATOR_ID, TABLE_CAP, _hits, _table, _word, _word_range
 
 E_INV = 0.36787944117144233
 
@@ -55,7 +55,7 @@ def _draws(theta, u):
     """The counts the uniforms u stand for: first + cum.searchsorted(u, "right").
 
     The inverse-cdf map over _table that GENERATOR_ID names; simulate_coverage
-    counts hits on u and never forms these.
+    counts hits on the raw words behind u and forms neither u nor these.
     """
     first, cum = _table(theta)
     return first + cum.searchsorted(u, "right")
@@ -216,22 +216,72 @@ class TestPinnedStream:
         assert (res.hits, res.generator) == (hits, GENERATOR_ID)
 
 
+def _uniforms(r):
+    """The uniforms numpy's Generator.random makes of Philox words r: (r >> 11) * 2^-53."""
+    return (r >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class TestHitThresholds:
-    @pytest.mark.parametrize("theta", [1e-9, 0.5, 50.0, 200.0, 3.8e4])
-    def test_thresholds_at_cdf_values(self, theta):
-        # u on each cdf value, just below it, 0 and the largest double below 1:
-        # the count on u is that of the inverse-cdf draws in the window.
-        first, cum = _table(theta)
-        u = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-        u = u[u < 1.0]
-        ks = np.searchsorted(cum, u, side="right") + first
+    @staticmethod
+    def _check_thresholds(first, cum):
+        # Words at and one below B(c) for each cdf value c, plus 0 and 2^64 - 1:
+        # the raw count in every window is that of the inverse-cdf draws on
+        # those words' uniforms.
+        at = np.array([_word(c) for c in cum], dtype=object)
+        words = np.concatenate([at, at - 1, [0, 2**64 - 1]])
+        r = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
+        ks = np.searchsorted(cum, _uniforms(r), side="right") + first
         last = first + cum.size - 1  # the count of the inf sentinel
         ends = {0, first - 1, first, first + 1, (first + last) // 2, last - 1, last, last + 1, 10**30}
         ends = sorted(k for k in ends if k >= 0)
         for k_min in ends:
             for k_max in ends:
                 want = int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
-                assert _hits(u, first, cum, k_min, k_max) == want, (k_min, k_max)
+                got = _hits(r.copy(), *_word_range(first, cum, k_min, k_max))
+                assert got == want, (k_min, k_max)
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 50.0, 200.0, 3.8e4])
+    def test_thresholds_at_cdf_values(self, theta):
+        self._check_thresholds(*_table(theta))
+
+    def test_thresholds_at_edge_values(self):
+        # A table whose cdf values are 0.0, a subnormal, exactly 1.0 and
+        # above 1, before its inf sentinel.
+        cum = np.array([0.0, 5e-324, 0.25, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, np.inf])
+        for first in (0, 3):
+            self._check_thresholds(first, cum)
+
+    @pytest.mark.parametrize("x, word", [
+        (0.0, 0),
+        (5e-324, 1 << 11),  # the least subnormal
+        (2**-53, 1 << 11),
+        (0.5, 1 << 63),
+        (1.0 - 2**-53, 2**64 - 2**11),
+        (1.0, 2**64),
+        (1.0 + 2**-52, 2**64),
+        (math.inf, 2**64),
+    ])
+    def test_word_bounds(self, x, word):
+        # B(x) is the least word whose uniform is >= x (2^64 where none is).
+        assert _word(x) == word
+        if word < 2**64:
+            assert _uniforms(np.array([word], dtype=np.uint64))[0] >= x
+        if word > 0:
+            assert _uniforms(np.array([word - 1], dtype=np.uint64))[0] < x
+
+    def test_uniform_map_is_numpys(self):
+        # The oracle above: Generator.random over Philox is (r >> 11) * 2^-53.
+        child = SeedSequence(61).spawn(2)[1]
+        u = Generator(Philox(child)).random(1000)
+        assert np.array_equal(_uniforms(Philox(child).random_raw(1000)), u)
+
+    def test_every_word_and_none(self):
+        # width 2^64 counts every word and width <= 0 none.
+        r = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert _hits(r.copy(), 0, 2**64) == 4
+        assert _hits(r.copy(), 2**64, 0) == 0
+        assert _hits(r.copy(), 5, -5) == 0
+        assert _hits(r.copy(), 2**64 - 1, 2) == 2  # wraps: 2^64 - 1 and 0
 
     @given(
         n=st.integers(min_value=1, max_value=3000),
