@@ -40,16 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from .bounds import _phi
 from .budget import CaseLabel, ErrorBudget, _case, relative_binds
 from .errors import (
     ParameterError, ResourceLimitError, check_positive_int, check_positive_real, scaled
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _LN_SQRT_2PI = 0.9189385332046727
 _LOG_CUT = math.log(1e-16)  # certified-negligible tail mass, in log space
@@ -174,8 +173,6 @@ def _run(theta: float, lo: int, hi: int) -> Tuple[float, np.ndarray, np.ndarray]
     up[j] = pmf(k0+1+j)/p0 and down[j] = pmf(k0-1-j)/p0 by the recurrence
     pmf(k+1) = pmf(k)*theta/(k+1), every ratio at most 1.
     """
-    import numpy as np  # loaded on first use: commands that sum no run start without it
-
     k0 = min(max(int(theta), lo), hi)
     up = np.cumprod(theta / np.arange(k0 + 1, hi + 1, dtype=np.float64))
     down = np.cumprod(np.arange(k0, lo, -1, dtype=np.float64) / theta)

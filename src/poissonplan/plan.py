@@ -89,7 +89,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .bounds import _h, _phi, g_exponent
 from .budget import ErrorBudget, relative_binds
@@ -254,8 +257,6 @@ def lambda_grid(
         raise ParameterError("lam_min", f"need lam_min <= lam_max, got {lam_min!r}, {lam_max!r}")
     if check_positive_int(points, "points") > GRID_CAP:
         raise ResourceLimitError(f"points={points} exceeds GRID_CAP = {GRID_CAP}")
-    import numpy as np  # loaded on first use: size and bound start without it
-
     base = np.geomspace(lam_min, lam_max, points).tolist()
     for b in (budget.epsilon_a, budget.rel_boundary):
         for lam in (b * (1.0 - 1e-6), b, b * (1.0 + 1e-6)):
@@ -309,8 +310,8 @@ def min_sample_size_exact(
       mean;
     - once the front mean passes, the other means are evaluated, in order,
       only inside the band where _chernoff_miss exceeds
-      delta - REJECT_MARGIN (found by two bisections over the grid in lam
-      order) or past THETA_MAX;
+      delta - REJECT_MARGIN (found by two bisections over the grid, which
+      the search sorts by lam) or past THETA_MAX;
     - each window the search would sum, the front mean's and the band's,
       goes first to _miss_verdict, and is summed only where its ceiling
       does not pass it and its floor does not reject it; a band mean it
@@ -324,8 +325,6 @@ def min_sample_size_exact(
     the plain scan; and as no certificate applies past THETA_MAX, the
     kernel raises its domain error at the same n.  Window endpoints are
     formed only for the means visited, after every grid mean is validated.
-    An explicit grid is validated and sorted by lam once; the default grid
-    is taken as built, already sorted, deduplicated and positive.
 
     The closed-form n meets the guarantee at every mean, so the scan stops
     at or below it without evaluating its wide windows.  Raises
@@ -344,12 +343,10 @@ def min_sample_size_exact(
         raise ResourceLimitError(
             f"delta={budget.delta!r} is below the exact search's floor {EXACT_DELTA_MIN}", "delta"
         )
-    if grid is None:
-        lams = default_lambda_grid(budget)  # built sorted, deduplicated and positive
-    else:
-        lams = sorted(check_positive_real(lam, "grid") for lam in grid)
-        if not lams:
-            raise ParameterError("grid", "grid must be non-empty")
+    lams = sorted(check_positive_real(lam, "grid")
+                  for lam in (default_lambda_grid(budget) if grid is None else grid))
+    if not lams:
+        raise ParameterError("grid", "grid must be non-empty")
 
     count = len(lams)
     target = 1.0 - budget.delta
@@ -514,8 +511,6 @@ def _prefix_end(lo: int, hi: int, holds) -> int:
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, p in (0, 1)."""
-    from statistics import NormalDist  # loaded on first use: only the normal baseline needs it
-
     return NormalDist().inv_cdf(check_unit_interval(p, "p"))
 
 

@@ -725,28 +725,10 @@ class TestInstalledEntryPoint:
 
 
     def test_import_leaves_numpy_random_unloaded(self):
-        # The import loads no numpy at all; only simulate_coverage imports
-        # numpy.random, and the exact sums and grids import numpy on first use.
+        # size, scan and bound never sample; simulate_coverage imports numpy.random.
         import subprocess
         import sys
 
         code = "import sys, poissonplan.cli; print('numpy.random' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "False\n")
-
-    def test_size_and_bound_leave_numpy_and_statistics_unloaded(self):
-        # The closed-form size and the Chernoff bound are plain float
-        # arithmetic, so these commands start without numpy or statistics.
-        import subprocess
-        import sys
-
-        code = (
-            "import contextlib, io, sys\n"
-            "from poissonplan.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    main(['size', '--eps-a', '0.1', '--eps-r', '0.1', '--delta', '0.05'])\n"
-            "    main(['bound', '--theta', '100', '--r', '120', '--side', 'upper'])\n"
-            "print(sorted(m for m in ('numpy', 'statistics') if m in sys.modules))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
