@@ -20,13 +20,14 @@ when cdf(k_min - 1) <= u < cdf(k_max), and a cdf value x bounds u from
 below exactly where the word reaches B(x) = ceil(x * 2^53) << 11, clamped
 to [0, 2^64]: u >= x iff r >= B(x).  So simulate_coverage turns the
 window's two cdf values into words once per call and counts hits on the
-raw words, with no uniform or count formed; a window that holds every word
-or none is counted without drawing.  B is part of the stream definition.
+raw words, with no uniform or count formed.  Every call draws all its
+blocks, also for a window that holds every word or none, so that its cost
+depends on the trial count alone.  B is part of the stream definition.
 GENERATOR_ID keeps its name, guide inversion included: the streams and the
 inverse-cdf map it was defined with are unchanged, and so is every hit
-count.  The table is capped at TABLE_CAP entries (means up to
-about 2.7e9); larger means raise ResourceLimitError, which the command line
-reports with exit code 2.
+count.  The table is capped at TABLE_CAP entries (means up to about 2.7e9);
+larger means raise ResourceLimitError, which the command line reports with
+exit code 2.
 """
 
 from __future__ import annotations
@@ -133,12 +134,16 @@ def _word_range(first: int, cum: np.ndarray, k_min: int, k_max: int) -> Tuple[in
 def _hits(r: np.ndarray, start: int, width: int) -> int:
     """How many raw words of r lie in [start, start + width); r is overwritten.
 
-    One unsigned test per word, (r - start) mod 2^64 < width, done in place,
-    for 0 < width < 2^64.  With (start, width) from _word_range, this counts
-    the words whose inverse-cdf draw lies in the window, without forming a
-    uniform or a count; the word bound B of _word is part of the stream
-    definition.
+    One unsigned test per word, (r - start) mod 2^64 < width, done in place;
+    width 2^64 counts every word and width <= 0 none.  With (start, width)
+    from _word_range, this counts the words whose inverse-cdf draw lies in
+    the window, without forming a uniform or a count; the word bound B of
+    _word is part of the stream definition.
     """
+    if width >= 2**64:  # every word: 2^64 itself is no uint64
+        return r.size
+    if width <= 0:
+        return 0
     np.subtract(r, np.uint64(start), out=r)
     return int(np.count_nonzero(r < np.uint64(width)))
 
@@ -160,17 +165,13 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
     first, cum = _table(theta)  # refuses an over-cap mean before any other work
     start, width = _word_range(first, cum, *coverage_window(cfg.n, cfg.lam, cfg.budget))
 
-    if width >= 2**64:  # every word is a hit, whatever the stream draws
-        hits = cfg.trials
-    elif width <= 0:  # no word is
-        hits = 0
-    else:
-        n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
-        children = SeedSequence(cfg.seed).spawn(n_blocks)
-        hits = 0
-        for i, child in enumerate(children):
-            r = Philox(child).random_raw(min(_BLOCK, cfg.trials - i * _BLOCK))
-            hits += _hits(r, start, width)
+    n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
+    children = SeedSequence(cfg.seed).spawn(n_blocks)
+
+    hits = 0
+    for i, child in enumerate(children):
+        r = Philox(child).random_raw(min(_BLOCK, cfg.trials - i * _BLOCK))
+        hits += _hits(r, start, width)
 
     estimate = hits / cfg.trials
     half_width = 3.0 * math.sqrt(estimate * (1.0 - estimate) / cfg.trials)

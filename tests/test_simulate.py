@@ -237,10 +237,7 @@ class TestHitThresholds:
         for k_min in ends:
             for k_max in ends:
                 want = int(np.count_nonzero((ks >= k_min) & (ks <= k_max)))
-                start, width = _word_range(first, cum, k_min, k_max)
-                # simulate_coverage counts width >= 2^64 as every word and
-                # width <= 0 as none, and passes only the rest to _hits.
-                got = r.size if width >= 2**64 else 0 if width <= 0 else _hits(r.copy(), start, width)
+                got = _hits(r.copy(), *_word_range(first, cum, k_min, k_max))
                 assert got == want, (k_min, k_max)
 
     @pytest.mark.parametrize("theta", [1e-9, 0.5, 50.0, 200.0, 3.8e4])
@@ -278,16 +275,15 @@ class TestHitThresholds:
         u = Generator(Philox(child)).random(1000)
         assert np.array_equal(_uniforms(Philox(child).random_raw(1000)), u)
 
-    def test_every_word_and_none(self, monkeypatch):
-        # The range test wraps past 2^64 - 1; a window of every word (width
-        # 2^64) or of none (width 0) is counted without drawing a block.
+    def test_every_word_and_none(self):
+        # width 2^64 counts every word and width <= 0 none; the range test
+        # wraps past 2^64 - 1.  Through simulate_coverage, a window of every
+        # word or of none gives all trials or no hits.
         r = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert _hits(r.copy(), 0, 2**64) == 4
+        assert _hits(r.copy(), 2**64, 0) == 0
+        assert _hits(r.copy(), 5, -5) == 0
         assert _hits(r.copy(), 2**64 - 1, 2) == 2  # 2^64 - 1 and 0
-
-        def no_draws(*args):
-            raise AssertionError("drew a block")
-
-        monkeypatch.setattr(np.random, "Philox", no_draws)
         for n, lam, budget, hits in [
             (1, 0.01, ErrorBudget(1e6, 0.5, 0.05), 200000),
             (5, 1e-3, ErrorBudget(1e-4, 0.5, 0.05), 0),
