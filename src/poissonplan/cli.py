@@ -28,6 +28,7 @@ from .budget import ErrorBudget
 from .errors import ParameterError, ResourceLimitError
 from .exact import exact_coverage, exact_tail
 from .plan import (
+    _default_range,
     formula_sample_size,
     lambda_grid,
     min_sample_size_exact,
@@ -111,8 +112,7 @@ def _cmd_verify(args, inputs: dict) -> tuple:
 def _cmd_scan(args, inputs: dict) -> tuple:
     budget = ErrorBudget(args.eps_a, args.eps_r, args.delta)
     n = args.n if args.n is not None else formula_sample_size(budget).n
-    lam_min = args.lambda_min if args.lambda_min is not None else budget.epsilon_a / 100.0
-    lam_max = args.lambda_max if args.lambda_max is not None else 100.0 * budget.rel_boundary
+    lam_min, lam_max = _default_range(budget, args.lambda_min, args.lambda_max)
     inputs.update(n=n, lambda_min=lam_min, lambda_max=lam_max)
     grid = lambda_grid(budget, lam_min, lam_max, args.grid_points)
     coverage_points = scan_coverage(n, budget, grid)

@@ -14,8 +14,9 @@ boundary between the absolute- and relative-tolerance regimes.
 
 The closed form is conservative; ``min_sample_size_exact`` searches for the
 smallest n whose *exact* coverage clears 1 - delta at every mean of an
-explicit grid.  It scans n upward from 1 over the means nearest the regime
-boundary first; SEARCH_CAP bounds the scan.  Four certificates decide most
+explicit grid.  It scans n upward, from past every n with an empty window
+at some grid mean, over the means nearest the regime boundary first;
+SEARCH_CAP bounds the scan.  Four certificates decide most
 (n, mean) pairs without a kernel sum, each proving what the kernel would
 decide.  With theta = n*lam, w the window's half-width, d = n*w + 1 and
 
@@ -88,6 +89,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import List, Optional, Sequence
@@ -271,7 +273,20 @@ def default_lambda_grid(budget: ErrorBudget, points: int = 200) -> tuple:
     Spans all four tolerance regimes, including both boundaries and their
     +-1e-6 relative perturbations.
     """
-    return lambda_grid(budget, budget.epsilon_a / 100.0, 100.0 * budget.rel_boundary, points)
+    return lambda_grid(budget, *_default_range(budget), points)
+
+
+def _default_range(budget: ErrorBudget, lam_min=None, lam_max=None) -> tuple:
+    """(lam_min, lam_max), an end not given taken as epsilon_a/100 or 100*epsilon_a/epsilon_r.
+
+    A default end that underflows to 0 or overflows raises
+    ResourceLimitError naming epsilon_a.
+    """
+    ends = budget.epsilon_a / 100.0, 100.0 * budget.rel_boundary
+    if not all(0.0 < end < math.inf for end, given in zip(ends, (lam_min, lam_max)) if given is None):
+        raise ResourceLimitError(f"the default grid (epsilon_a/100, 100*epsilon_a/epsilon_r) = "
+                                 f"{ends!r} leaves the double range", "epsilon_a")
+    return ends[0] if lam_min is None else lam_min, ends[1] if lam_max is None else lam_max
 
 
 def scan_coverage(
@@ -292,22 +307,26 @@ def min_sample_size_exact(
 
     On a fixed grid the feasible set can have holes just above its lower
     edge: theta = n*lam moves with n at each grid mean, so the coverage at
-    that mean oscillates with n.  So the search scans n upward from 1 and
-    returns the first fully feasible value; every smaller n is thereby
-    verified infeasible.  An n is rejected at its first failing mean, so
-    the means are tried nearest the regime boundary epsilon_a/epsilon_r
-    first, by log distance (the mixed criterion binds there), and each mean
-    that fails moves to the front.  The order changes only the cost.
+    that mean oscillates with n.  So the search scans n upward and returns
+    the first fully feasible value; every smaller n is thereby verified
+    infeasible.  It starts past every n that has an empty window at some
+    grid mean, which fails there: at a mean lam >= epsilon_a (so lam >= w,
+    w the half-width) the window is empty while n*(lam + w) <= 1, that is
+    up to den // hi of the window's integer ratios, and that bound falls
+    as lam rises; a mean below epsilon_a has a window that reaches 0.  So
+    the scan starts at den // hi + 1 of the least grid mean >= epsilon_a.
+    An n is rejected at its first failing mean, so the means are tried
+    nearest the regime boundary epsilon_a/epsilon_r first, by log distance
+    (the mixed criterion binds there), and each mean that fails moves to
+    the front.  The order changes only the cost.
 
     The four certificates of the module docstring stand in for kernel
     sums, each only at a mean with theta = n*lam <= THETA_MAX:
     - an n whose front mean has _miss_floor(theta, n*w + 1) above
-      delta + REJECT_MARGIN fails unsummed; this is tried only where
-      n*w > 1/2, as below that the window holds at most one count and its
-      sum costs no more than the floor (an empty one costs nothing);
+      delta + REJECT_MARGIN fails unsummed;
     - where also n*w >= 1, the run of counts whose upper floor stays above
-      delta + REJECT_MARGIN fails with it, found by _prefix_end once per
-      mean;
+      delta + REJECT_MARGIN fails with it, found by one bisection once
+      per mean;
     - once the front mean passes, the other means are evaluated, in order,
       only inside the band where _chernoff_miss exceeds
       delta - REJECT_MARGIN (found by two bisections over the grid, which
@@ -316,20 +335,17 @@ def min_sample_size_exact(
       goes first to _miss_verdict, and is summed only where its ceiling
       does not pass it and its floor does not reject it; a band mean it
       rejects moves to the front as a summed failure does.
-    An n whose front-mean window is empty (lam >= w and n*(lam + w) <= 1
-    leave k_max = 0 < k_min) fails at that mean, so the scan starts past
-    the first front mean's run of them, and a mean that moves to the front
-    jumps past its own; the run ends at a closed form of the window's
-    integer ratios.  A certified rejection has kernel coverage below
-    1 - delta, a certified pass at least 1 - delta, so every n is that of
-    the plain scan; and as no certificate applies past THETA_MAX, the
-    kernel raises its domain error at the same n.  Window endpoints are
-    formed only for the means visited, after every grid mean is validated.
+    A certified rejection has kernel coverage below 1 - delta, a certified
+    pass at least 1 - delta, so every n is that of the plain scan; and as
+    no certificate applies past THETA_MAX, the kernel raises its domain
+    error at the first n tried whose visited means reach past it.  Window
+    endpoints are formed only for the means visited, after every grid mean
+    is validated.
 
     The closed-form n meets the guarantee at every mean, so the scan stops
     at or below it without evaluating its wide windows.  Raises
-    ResourceLimitError once the scan, or a skip, would try an n above
-    SEARCH_CAP.  The result certifies the supplied grid only, not every
+    ResourceLimitError once the scan, its start or a skip would try an n
+    above SEARCH_CAP.  The result certifies the supplied grid only, not every
     lam > 0: means between grid points are not checked, and the smallest n
     that holds at every real lam can be larger (390 rather than 381 at the
     canonical budget 0.1, 0.1, 0.05; ROADMAP.md, direction 1).
@@ -348,29 +364,22 @@ def min_sample_size_exact(
     if not lams:
         raise ParameterError("grid", "grid must be non-empty")
 
-    count = len(lams)
+    count, means = len(lams), range(len(lams))
     target = 1.0 - budget.delta
     reject, band = budget.delta + REJECT_MARGIN, budget.delta - REJECT_MARGIN
     log_boundary = math.log(budget.rel_boundary)
-    order = sorted(range(count), key=lambda i: abs(math.log(lams[i]) - log_boundary))
-    # Means below split take the absolute half-width (relative_binds is monotone in lam).
-    split = _prefix_end(0, count - 1, lambda i: not relative_binds(lams[i], budget)) + 1
-    windows = {}
+    order = sorted(means, key=lambda i: abs(math.log(lams[i]) - log_boundary))
+    # Means from split on take the relative half-width (relative_binds is monotone in lam).
+    split = bisect_left(means, True, key=lambda i: relative_binds(lams[i], budget))
+    windows, skipped = {}, set()
 
-    def window(idx: int) -> list:
-        """[ratios, w, n_w, skips, n_e] of mean idx: window ratios, half-width, least n with n*w >= 1.
-
-        skips turns False once a skip has been tried at some n >= n_w: past
-        its run the upper floor does not exceed the threshold again.  Every
-        n below n_e has an empty window: where lam >= w (lo >= 0) and
-        n*hi <= den, k_max = 0 < k_min.  n_e is capped at SEARCH_CAP + 1.
-        """
+    def window(idx: int) -> tuple:
+        """(ratios, w, n_w) of mean idx: window ratios, half-width, least n with n*w >= 1."""
         if idx not in windows:
             relative = idx >= split
             lo, hi, den = ratios = _window_ratios(lams[idx], budget, relative)
             w = budget.epsilon_r * lams[idx] if relative else budget.epsilon_a
-            n_e = min(den // hi + 1, SEARCH_CAP + 1) if lo >= 0 else 1
-            windows[idx] = [ratios, w, -(-2 * den // (hi - lo)), True, n_e]
+            windows[idx] = ratios, w, -(-2 * den // (hi - lo))
         return windows[idx]
 
     def passes(n: int, idx: int) -> bool:
@@ -385,24 +394,28 @@ def min_sample_size_exact(
         return verdict
 
     base = formula_sample_size(budget)
-    n = window(order[0])[4]
+    n, first = 1, bisect_left(lams, budget.epsilon_a)
+    if first < count:  # every n <= den // hi has an empty window at this mean
+        _, hi, den = window(first)[0]
+        n = min(den // hi + 1, SEARCH_CAP + 1)
     while n <= SEARCH_CAP:
-        lam = lams[order[0]]
-        front = window(order[0])
-        ratios, w, n_w, skips, _ = front
-        theta, spread = n * lam, n * w
-        if spread > 0.5 and theta <= THETA_MAX and _miss_floor(theta, spread + 1.0) > reject:
-            if skips and n >= n_w:
-                n = max(n, _prefix_end(n, SEARCH_CAP, lambda m: m * lam <= THETA_MAX
-                                       and _tail_floor(m * lam, m * w + 1.0) > reject))
-                front[3] = False
-            n += 1
+        front = order[0]
+        lam = lams[front]
+        ratios, w, n_w = window(front)
+        theta = n * lam
+        if theta <= THETA_MAX and _miss_floor(theta, n * w + 1.0) > reject:
+            if n >= n_w and front not in skipped:
+                skipped.add(front)
+                n = bisect_left(range(SEARCH_CAP + 1), True, lo=n + 1, key=lambda m: not (
+                    m * lam <= THETA_MAX and _tail_floor(m * lam, m * w + 1.0) > reject))
+            else:
+                n += 1
             continue
         if not covers(n, theta, ratios):
             n += 1
             continue
-        lo = _prefix_end(0, split - 1, lambda i: passes(n, i)) + 1
-        hi = _prefix_end(split, count - 1, lambda i: not passes(n, i)) + 1
+        lo = bisect_left(means, True, hi=split, key=lambda i: not passes(n, i))
+        hi = bisect_left(means, True, lo=split, key=lambda i: passes(n, i))
         for idx in order[1:]:
             theta = n * lams[idx]
             if theta <= THETA_MAX and not lo <= idx < hi:
@@ -410,7 +423,6 @@ def min_sample_size_exact(
             if not covers(n, theta, window(idx)[0]):
                 order.remove(idx)
                 order.insert(0, idx)
-                n = max(n, window(idx)[4] - 1)  # the new front's empty windows fail too
                 break
         else:
             return PlanResult(n, base.rhs, base.critical_exponent, "exact_search")
@@ -484,29 +496,6 @@ def _chernoff_miss(n: int, lam: float, budget: ErrorBudget, relative: bool) -> f
     if lam > budget.epsilon_a:
         return miss + math.exp(n * g_exponent(-budget.epsilon_a, lam))
     return miss
-
-
-def _prefix_end(lo: int, hi: int, holds) -> int:
-    """Last m in [lo - 1, hi] with holds(k) for every k in [lo, m].
-
-    holds must be true on a prefix of [lo, hi]; it is probed at lo, lo + 2,
-    lo + 6, ... (doubling steps), then bisected, so a prefix of length L
-    costs about 2*log2(L) calls.
-    """
-    good, bad, step = lo - 1, hi + 1, 1
-    while good + step < bad:
-        if not holds(good + step):
-            bad = good + step
-            break
-        good += step
-        step *= 2
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if holds(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
 
 
 def normal_quantile(p: float) -> float:

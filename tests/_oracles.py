@@ -78,15 +78,20 @@ def mass_exactish(theta, lo, hi):
     return math.fsum(poisson_pmf(theta, i) for i in range(lo, hi + 1))
 
 
-def min_n_grid_ref(budget, grid):
-    """First n whose exact_coverage clears 1 - delta at every grid mean.
+def min_n_grid_ref(budget, grid, cap=None):
+    """First n (up to cap, if given) whose exact_coverage clears 1 - delta at every grid mean.
 
-    Brute force: every n from 1 upward, every mean in grid order, through
-    the package's public exact_coverage.  The reference for the exact
-    search's evaluation order, move-to-front and hint handling.
+    Brute force: every n from 1 upward, every mean, through the package's
+    public exact_coverage; None where no n up to cap clears it.  Means
+    nearest the regime boundary go first, which changes only the cost.  The
+    reference for the exact search's evaluation order, move-to-front and
+    skips.
     """
+    lams = sorted(grid, key=lambda lam: abs(math.log(lam / budget.rel_boundary)))
     n = 1
-    while not all(exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta for lam in grid):
+    while not all(exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta for lam in lams):
+        if n == cap:
+            return None
         n += 1
     return n
 

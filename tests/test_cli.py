@@ -363,6 +363,25 @@ class TestScan:
         assert "i/o error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["size", "--method", "exact", "--eps-a", "1e300", "--eps-r", "1e-300", "--delta", "0.05"],
+        ["scan", "--n", "1", "--eps-a", "5e-324", "--eps-r", "0.5", "--delta", "0.05"],
+        ["scan", "--n", "1", "--eps-a", "1e300", "--eps-r", "1e-300", "--delta", "0.05"],
+    ],
+)
+def test_default_grid_end_outside_the_double_range_names_eps_a(capsys, argv):
+    # The default grid's ends eps_a/100 and 100*eps_a/eps_r come from the
+    # budget, so an end that underflows to 0 or overflows names --eps-a, not
+    # a grid flag the command lacks or was not given.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"poissonplan {argv[0]}: error: --eps-a: " in err
+    assert "--lambda" not in err
+    assert out == ""
+
+
 class TestBound:
     @pytest.mark.parametrize(
         "theta, r, flag",

@@ -580,6 +580,9 @@ class TestChernoffScreen:
         # Every window the search leaves unsummed is decided by a certificate,
         # and the kernel agrees with it: a band pass at the answer and a
         # ceiling pass have coverage above 1 - delta, a floor rejection below.
+        # The verdicts come from two searches, (0.0625, 0.25, 0.01) and the
+        # canonical one: the front mean's floor rejects most of the latter's
+        # failing n before certificate 4 sees them.
         budget, n = ErrorBudget(0.1, 0.1, 0.05), EXACT_MIN_N_CANONICAL
         kernel, window_at, verdict = plan._window_mass, plan._window_at, plan._miss_verdict
         counts, summed, decided = [], [], []
@@ -593,21 +596,27 @@ class TestChernoffScreen:
             return kernel(theta, k_min, k_max)
 
         def recorded_verdict(theta, k_min, k_max, delta):
-            decided.append((counts[-1], theta, k_min, k_max, verdict(theta, k_min, k_max, delta)))
+            decided.append((counts[-1], theta, k_min, k_max, delta,
+                            verdict(theta, k_min, k_max, delta)))
             return decided[-1][-1]
 
         monkeypatch.setattr(plan, "_window_at", windowed)
         monkeypatch.setattr(plan, "_window_mass", recorded)
         monkeypatch.setattr(plan, "_miss_verdict", recorded_verdict)
+        assert min_sample_size_exact(ErrorBudget(0.0625, 0.25, 0.01)).n == 420
+        summed.clear()
         assert min_sample_size_exact(budget).n == n
-        target = 1.0 - budget.delta
         passed = [window for *window, v in decided if v is True]
         failed = [window for *window, v in decided if v is False]
         assert len(passed) > 10 and len(failed) > 10
-        assert all(kernel(theta, k_min, k_max) > target for _, theta, k_min, k_max in passed)
-        assert all(kernel(theta, k_min, k_max) < target for _, theta, k_min, k_max in failed)
+        assert all(kernel(theta, k_min, k_max) > 1.0 - delta
+                   for _, theta, k_min, k_max, delta in passed)
+        assert all(kernel(theta, k_min, k_max) < 1.0 - delta
+                   for _, theta, k_min, k_max, delta in failed)
+        target = 1.0 - budget.delta
         at_answer = {theta for count, theta in summed if count == n}
-        at_answer |= {theta for count, theta, *_ in passed if count == n}
+        at_answer |= {theta for count, theta, *_, delta in passed
+                      if count == n and delta == budget.delta}
         assert 0 < len(at_answer) < 100
         banded = [lam for lam in default_lambda_grid(budget) if n * lam not in at_answer]
         assert len(banded) > 100
@@ -801,27 +810,15 @@ def _empty_window_panel(count, seed):
     return panel
 
 
-def _plain_scan(budget, grid, cap):
-    """First n <= cap whose exact_coverage clears 1 - delta at every grid mean, else None.
-
-    Means nearest the regime boundary go first, which changes only the cost.
-    """
-    lams = sorted(grid, key=lambda lam: abs(math.log(lam / budget.rel_boundary)))
-    for n in range(1, cap + 1):
-        if all(exact_coverage(n, lam, budget).coverage >= 1.0 - budget.delta for lam in lams):
-            return n
-    return None
-
-
 class TestEmptyWindowSkip:
-    """The exact search jumps over the n whose front-mean window holds no count."""
+    """The exact search starts past the n whose window at some mean holds no count."""
 
     def test_matches_plain_scan(self, monkeypatch):
         cap = 2**11
         monkeypatch.setattr(plan, "SEARCH_CAP", cap)
         answered = 0
         for budget, grid in _empty_window_panel(45, 20):
-            n = _plain_scan(budget, grid, cap)
+            n = min_n_grid_ref(budget, grid, cap)
             if n is None:
                 rhs = formula_sample_size(budget).rhs
                 message = (f"the exact search found no feasible n up to SEARCH_CAP = {cap}; "
@@ -861,13 +858,13 @@ class TestEmptyWindowSkip:
         # search must land on the first n whose window holds a count.
         budget = ErrorBudget(1e-300, 0.1, 0.7)
         n = min_sample_size_exact(budget, grid=[lam]).n
-        assert n == _plain_scan(budget, [lam], 1000)
+        assert n == min_n_grid_ref(budget, [lam], 1000)
         assert coverage_window(n - 1, lam, budget) == (1, 0)
 
     def test_new_front_skips_its_empty_windows(self, monkeypatch):
-        # 1e-301 < eps_a passes at n = 1; 1e-295 then fails with an empty window
-        # (by the miss floor, unsummed), moves to the front, and stays empty up
-        # to SEARCH_CAP: no window is formed past n = 1.
+        # 1e-301 < eps_a would pass at n = 1, but 1e-295, the least mean >= eps_a,
+        # has an empty window at every n up to SEARCH_CAP: the search starts
+        # past the cap and forms no window at all.
         calls, counts = self._kernel_calls(monkeypatch), []
         window_at = plan._window_at
 
@@ -878,8 +875,8 @@ class TestEmptyWindowSkip:
         monkeypatch.setattr(plan, "_window_at", windowed)
         with pytest.raises(ResourceLimitError, match="SEARCH_CAP = 1048576"):
             min_sample_size_exact(ErrorBudget(1e-300, 0.5, 0.05), grid=[1e-301, 1e-295])
-        assert calls == [(0, 0)]
-        assert counts == [1, 1]
+        assert calls == []
+        assert counts == []
 
 
 class TestNormalApprox:
