@@ -31,15 +31,14 @@ which grows with |k - theta| on each side of theta:
    erfc(sqrt(H))/2.  The window misses above from
    m = k_max + 1 = ceil(n(lam + w)) <= theta + d and below from
    k_min - 1 = floor(n(lam - w)) > theta - d, so the miss is at least
-   M(n) = _tail_floor(theta, d) + [d < theta] _tail_floor(theta, -d)
-   (_miss_floor).
-2. Skip a run of n.  For n*w >= 1 the upper term does not increase with n:
-   d/dn H(n*lam + n*w + 1, n*lam) = lam[(1 + a)ln(1 + a + t) - (a + t)] with
-   a = w/lam and t = 1/(n*lam) <= a.  The bracket falls as t grows, and at
-   t = a it is F(a) = (1 + a)ln(1 + 2a) - 2a > 0, as F(0) = 0 and
-   F'(a) = ln(1 + 2a) - 2a/(1 + 2a) > 0.  So where the upper term exceeds
-   the threshold at n' >= n >= 1/w, every n in [n, n'] fails at that mean,
-   and past the first n >= 1/w where it does not, it never does again.
+   M(n) = U(n) + [d < theta] _tail_floor(theta, -d), U(n) = _tail_floor(theta, d).
+2. Skip a run of n.  U is unimodal in n: with a = w/lam and t = 1/(n*lam),
+   d/dn H(n*lam + n*w + 1, n*lam) = lam*B(t), B(t) = (1 + a)ln(1 + a + t) - (a + t),
+   and dB/dt = -t/(1 + a + t) < 0.  t falls as n grows, so dH/dn changes
+   sign at most once, from - to +: H falls, then rises, and U, which falls
+   as H grows, rises, then falls.  So the n where U exceeds a threshold
+   form one interval: where it does at n and at n' > n, every count in
+   [n, n'] fails at that mean, and past the interval it never does again.
 3. Pass the means outside a band.  Chernoff bounds the miss by
    exp(n*g(w, lam)) + exp(n*g(-w, lam)) (_chernoff_miss).  Where the
    absolute tolerance binds both exponents grow with lam: with x = e/lam,
@@ -74,7 +73,9 @@ within 1e-15 absolute.  Certificate 4 forms each k - theta from exact
 integers below 2^53 with one rounding, so each of its terms is within
 1e-15 as well.  _chernoff_miss forms each exponent x <= 0 within a few
 ulps, and e^x |x| <= 1/e, so it is within 2e-15 too.  A rejection needs
-M(n), or the window's floor, above delta + REJECT_MARGIN (1e-10), leaving
+M(n), or the window's floor, above delta + REJECT_MARGIN (1e-10); a count
+inside a skipped run lies between two whose computed U is above it, so by
+unimodality its exact U is above it less 1e-15.  That leaves
 kernel coverage below 1 - delta + 2e-15 + 1e-11 - 1e-10 < fl(1 - delta); a
 pass, by a window's ceiling or outside the band, needs its bound at most
 delta - REJECT_MARGIN, leaving kernel coverage at least
@@ -88,7 +89,6 @@ underflows to 0 passes.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -104,7 +104,6 @@ from .errors import (
     check_positive_int,
     check_positive_real,
     check_unit_interval,
-    scaled,
 )
 from .exact import (
     THETA_MAX, CoveragePoint, _span, _window_at, _window_mass, _window_ratios, exact_coverage
@@ -118,9 +117,9 @@ SEARCH_CAP = 2**20
 # Most log-spaced points lambda_grid builds; more raise ResourceLimitError
 # before any allocation (each point costs 8 bytes and one exact evaluation).
 GRID_CAP = 2**20
-# Relative error bound on the double rhs of the closed form, and on n*g_c
-# against ln(delta/2): a few ulps in _phi, the logarithm, the product and the
-# quotient, about 1e-15; 2^-44 = 5.7e-14 is over 50 times that.
+# Relative error bound on the double rhs of the closed form where
+# _phi(epsilon_r) is a normal double: a few ulps in _phi, the logarithm, the
+# product and the quotient, about 1e-15; 2^-44 = 5.7e-14 is over 50 times that.
 RHS_REL_ERR = 2.0**-44
 REJECT_MARGIN = 1e-10  # how far a certified miss must exceed delta (min_sample_size_exact)
 EXACT_DELTA_MIN = 1e-14  # smallest delta the exact search resolves (min_sample_size_exact)
@@ -149,8 +148,10 @@ def critical_exponent(budget: ErrorBudget) -> float:
 
     Formed as epsilon_a * _phi(epsilon_r), without the ratio or h, so it is
     within a few ulps wherever _phi(epsilon_r) ~ -epsilon_r/2 and the product
-    are normal doubles (epsilon_r above about 4.5e-308), and -0.0 only where
-    the product underflows.
+    are normal doubles, and -0.0 only where the product underflows.  Below
+    epsilon_r = 2^-1021 (about 4.5e-308) _phi(epsilon_r) is subnormal and
+    the product can err by 1e-8 relative, so _least_n decides there in
+    decimal.
     """
     return budget.epsilon_a * _phi(budget.epsilon_r)
 
@@ -159,13 +160,9 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
     """Sample size from the closed-form rule: the smallest integer above the rhs.
 
     rhs = ln(2/delta)/-g_c with g_c = critical_exponent(budget), the rule
-    in log space, and n = floor(rhs) + 1, so an rhs that is exactly an
-    integer m gives m + 1.  The double rhs is within RHS_REL_ERR of the
-    true one; where an integer lies inside that interval, _exact_n decides
-    in decimal arithmetic, so n is the smallest integer above the true rhs
-    and ``is_sufficient`` agrees with it at every count.  Raises
-    ResourceLimitError where the rhs overflows a double (including where
-    g_c rounds to -0.0).
+    in log space, and n = _least_n(budget, rhs), so an rhs that is exactly
+    an integer m gives m + 1.  Raises ResourceLimitError where the rhs
+    overflows a double (including where g_c rounds to -0.0).
     """
     g_c = critical_exponent(budget)
     rhs = math.log(2.0 / budget.delta) / -g_c if g_c else math.inf
@@ -174,12 +171,8 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
             f"the closed-form n overflows for epsilon_a={budget.epsilon_a!r}, "
             f"epsilon_r={budget.epsilon_r!r} (critical exponent {g_c!r}), delta={budget.delta!r}"
         )
-    if math.floor(rhs * (1.0 + RHS_REL_ERR)) >= math.ceil(rhs * (1.0 - RHS_REL_ERR)):
-        n = _exact_n(budget)
-    else:
-        n = math.floor(rhs) + 1
     return PlanResult(
-        n=n,
+        n=_least_n(budget, rhs),
         rhs=rhs,
         critical_exponent=g_c,
         method="formula",
@@ -187,21 +180,32 @@ def formula_sample_size(budget: ErrorBudget) -> PlanResult:
 
 
 def is_sufficient(n: int, budget: ErrorBudget) -> bool:
-    """True iff n samples meet the guarantee per the log-space threshold.
+    """True iff n samples meet the guarantee: n exceeds the closed form's true rhs.
 
-    Checks n * g_c < ln(delta/2), the exponential-threshold form of the
-    closed-form rule.  Where the two sides are within RHS_REL_ERR of each
-    other, or g_c is not a normal double, n >= _exact_n(budget) decides, the
-    same rule as formula_sample_size.  A delta whose half rounds to 0 raises
+    The same integer rule as formula_sample_size, n >= _least_n, so the
+    two agree at every count; the rhs may overflow a double here, and
+    _exact_n then decides.  A delta whose half rounds to 0 raises
     ResourceLimitError.
     """
     check_positive_int(n, "n")
+    _half(budget.delta)
     g_c = critical_exponent(budget)
-    ln_half = math.log(_half(budget.delta))
-    product = scaled(n, g_c)
-    if g_c <= -sys.float_info.min and abs(product - ln_half) > RHS_REL_ERR * -ln_half:
-        return product < ln_half
-    return n >= _exact_n(budget)
+    return n >= _least_n(budget, math.log(2.0 / budget.delta) / -g_c if g_c else math.inf)
+
+
+def _least_n(budget: ErrorBudget, rhs: float) -> int:
+    """The smallest integer above the true rhs, given its double value rhs.
+
+    That is floor(rhs) + 1 where the double can be trusted: it is finite,
+    no integer lies within RHS_REL_ERR of it, and _phi(epsilon_r) ~
+    -epsilon_r/2 is a normal double (epsilon_r >= 2^-1021; below, g_c
+    carries the subnormal's absolute rounding, up to 1e-8 relative).
+    Elsewhere _exact_n decides in decimal arithmetic.
+    """
+    if (math.isfinite(rhs) and budget.epsilon_r >= 2.0**-1021
+            and math.floor(rhs * (1.0 + RHS_REL_ERR)) < math.ceil(rhs * (1.0 - RHS_REL_ERR))):
+        return math.floor(rhs) + 1
+    return _exact_n(budget)
 
 
 def _exact_n(budget: ErrorBudget) -> int:
@@ -258,7 +262,7 @@ def lambda_grid(
     if not lam_min <= lam_max:
         raise ParameterError("lam_min", f"need lam_min <= lam_max, got {lam_min!r}, {lam_max!r}")
     if check_positive_int(points, "points") > GRID_CAP:
-        raise ResourceLimitError(f"points={points} exceeds GRID_CAP = {GRID_CAP}")
+        raise ResourceLimitError(f"points={points} exceeds GRID_CAP = {GRID_CAP}", "points")
     base = np.geomspace(lam_min, lam_max, points).tolist()
     for b in (budget.epsilon_a, budget.rel_boundary):
         for lam in (b * (1.0 - 1e-6), b, b * (1.0 + 1e-6)):
@@ -322,11 +326,12 @@ def min_sample_size_exact(
 
     The four certificates of the module docstring stand in for kernel
     sums, each only at a mean with theta = n*lam <= THETA_MAX:
-    - an n whose front mean has _miss_floor(theta, n*w + 1) above
+    - where the front mean's upper floor U(n) = _tail_floor(theta, n*w + 1)
+      exceeds delta + REJECT_MARGIN, n fails, and so does every count after
+      it up to the first where U does not, found by one bisection: U is
+      unimodal in n, at every n;
+    - elsewhere, an n whose front mean has its full floor M(n) above
       delta + REJECT_MARGIN fails unsummed;
-    - where also n*w >= 1, the run of counts whose upper floor stays above
-      delta + REJECT_MARGIN fails with it, found by one bisection once
-      per mean;
     - once the front mean passes, the other means are evaluated, in order,
       only inside the band where _chernoff_miss exceeds
       delta - REJECT_MARGIN (found by two bisections over the grid, which
@@ -371,15 +376,14 @@ def min_sample_size_exact(
     order = sorted(means, key=lambda i: abs(math.log(lams[i]) - log_boundary))
     # Means from split on take the relative half-width (relative_binds is monotone in lam).
     split = bisect_left(means, True, key=lambda i: relative_binds(lams[i], budget))
-    windows, skipped = {}, set()
+    windows = {}
 
     def window(idx: int) -> tuple:
-        """(ratios, w, n_w) of mean idx: window ratios, half-width, least n with n*w >= 1."""
+        """(ratios, w) of mean idx: its window's integer ratios and half-width."""
         if idx not in windows:
             relative = idx >= split
-            lo, hi, den = ratios = _window_ratios(lams[idx], budget, relative)
             w = budget.epsilon_r * lams[idx] if relative else budget.epsilon_a
-            windows[idx] = ratios, w, -(-2 * den // (hi - lo))
+            windows[idx] = _window_ratios(lams[idx], budget, relative), w
         return windows[idx]
 
     def passes(n: int, idx: int) -> bool:
@@ -401,16 +405,17 @@ def min_sample_size_exact(
     while n <= SEARCH_CAP:
         front = order[0]
         lam = lams[front]
-        ratios, w, n_w = window(front)
-        theta = n * lam
-        if theta <= THETA_MAX and _miss_floor(theta, n * w + 1.0) > reject:
-            if n >= n_w and front not in skipped:
-                skipped.add(front)
+        ratios, w = window(front)
+        theta, d = n * lam, n * w + 1.0
+        if theta <= THETA_MAX:
+            upper = _tail_floor(theta, d)
+            if upper > reject:  # certificate 2: U is above reject up to the new n
                 n = bisect_left(range(SEARCH_CAP + 1), True, lo=n + 1, key=lambda m: not (
                     m * lam <= THETA_MAX and _tail_floor(m * lam, m * w + 1.0) > reject))
-            else:
+                continue
+            if d < theta and upper + _tail_floor(theta, -d) > reject:  # certificate 1
                 n += 1
-            continue
+                continue
         if not covers(n, theta, ratios):
             n += 1
             continue
@@ -441,15 +446,6 @@ def _tail_floor(theta: float, d: float) -> float:
     [theta + d, theta) (d < 0); nan where d/theta is inf.
     """
     return 0.5 * math.erfc(math.sqrt(-d * _phi(d / theta)))
-
-
-def _miss_floor(theta: float, d: float) -> float:
-    """M = _tail_floor(theta, d) + _tail_floor(theta, -d), the second only where d/theta < 1.
-
-    A lower bound on the miss of a window whose ends lie within d of theta:
-    k_max + 1 <= theta + d and k_min - 1 > theta - d.
-    """
-    return _tail_floor(theta, d) + (_tail_floor(theta, -d) if d / theta < 1.0 else 0.0)
 
 
 def _miss_verdict(theta: float, k_min: int, k_max: int, delta: float) -> Optional[bool]:

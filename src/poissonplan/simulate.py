@@ -159,7 +159,7 @@ def simulate_coverage(cfg: SimConfig) -> SimResult:
 
     if cfg.trials > TRIALS_CAP:
         raise ResourceLimitError(
-            f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}"
+            f"trials={cfg.trials} exceeds the cap of {TRIALS_CAP}", "trials"
         )
     theta = scaled(cfg.n, cfg.lam)
     first, cum = _table(theta)  # refuses an over-cap mean before any other work

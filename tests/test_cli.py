@@ -238,6 +238,15 @@ class TestVerify:
         assert "TABLE_CAP" in err
         assert out == ""
 
+    def test_monte_carlo_over_trials_cap_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "762", "--lambda", "1",
+            "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05", "--mc-trials", "2000000000",
+        )
+        assert code == 2
+        assert "error: --mc-trials: trials=2000000000 exceeds the cap" in err
+        assert out == ""
+
     def test_monte_carlo_block(self, capsys):
         report = run_json(
             capsys, "verify", "--n", "762", "--lambda", "1",
@@ -314,7 +323,7 @@ class TestScan:
             "--eps-a", "0.1", "--eps-r", "0.1", "--delta", "0.05",
         )
         assert code == 2
-        assert "GRID_CAP = 8" in err
+        assert "error: --grid-points: points=9 exceeds GRID_CAP = 8" in err
         assert out == ""
 
     def test_csv_cells_equal_embedded_rows(self, capsys, tmp_path):

@@ -124,6 +124,22 @@ class TestFormulaSampleSize:
         assert res.critical_exponent == pytest.approx(float(g_c), rel=1e-14, abs=0.0)
         assert res.n == n
 
+    @pytest.mark.parametrize(
+        "eps_a, eps_r, delta", [(1e305, 1e-315, 0.05), (1e10, 1e-315, 0.05), (1e8, 1e-312, 0.1)]
+    )
+    def test_rule_where_phi_is_subnormal_matches_mpmath(self, eps_a, eps_r, delta):
+        # _phi(eps_r) is subnormal below eps_r = 2^-1021, so g_c errs by about
+        # 1e-8 relative.  Trusting the double rhs gave 73,777,589,559 for the
+        # first (true 73,777,589,195); the log-space threshold refused the
+        # second's true n and accepted the third's n - 1.
+        budget = ErrorBudget(eps_a, eps_r, delta)
+        with mpmath.workdps(1500):
+            a, r = mpf_of(eps_a), mpf_of(eps_r)
+            g_c = -(a / r) * ((1 + r) * mpmath.log1p(r) - r)
+            n = int(mpmath.floor(mpmath.log(2 / mpf_of(delta)) / -g_c)) + 1
+        assert formula_sample_size(budget).n == n
+        assert is_sufficient(n, budget) and not is_sufficient(n - 1, budget)
+
     def test_doubling_eps_a_exactly_halves_rhs(self):
         for er, d in [(0.1, 0.05), (0.5, 0.2), (0.9, 0.01)]:
             rhs1 = formula_sample_size(ErrorBudget(0.1, er, d)).rhs
@@ -519,7 +535,6 @@ def _uncertified(monkeypatch):
     No floor rejects (certificates 1 and 2), no Chernoff bound passes a
     mean (3), and no window end decides (4).
     """
-    monkeypatch.setattr(plan, "_miss_floor", lambda theta, d: 0.0)
     monkeypatch.setattr(plan, "_tail_floor", lambda theta, d: 0.0)
     monkeypatch.setattr(plan, "_chernoff_miss", lambda n, lam, budget, relative: math.inf)
     monkeypatch.setattr(plan, "_miss_verdict", lambda theta, k_min, k_max, delta: None)
@@ -527,7 +542,8 @@ def _uncertified(monkeypatch):
 
 def _miss_floor(n, lam, budget):
     """The front-mean rejection bound M(n) of min_sample_size_exact."""
-    return plan._miss_floor(n * lam, n * max(budget.epsilon_a, budget.epsilon_r * lam) + 1.0)
+    theta, d = n * lam, n * max(budget.epsilon_a, budget.epsilon_r * lam) + 1.0
+    return plan._tail_floor(theta, d) + (plan._tail_floor(theta, -d) if d < theta else 0.0)
 
 
 class TestChernoffScreen:
@@ -538,15 +554,13 @@ class TestChernoffScreen:
         er=st.floats(min_value=0.01, max_value=0.9),
         log_d=st.floats(min_value=-14.0, max_value=math.log10(0.6)),
         frac=st.floats(min_value=0.05, max_value=2.0),
-        later=st.floats(min_value=1.0, max_value=4.0),
         octave=st.floats(min_value=-3.0, max_value=3.0),
     )
-    @example(ea=0.1, er=0.1, log_d=math.log10(0.05), frac=0.5, later=1.0, octave=0.0)
+    @example(ea=0.1, er=0.1, log_d=math.log10(0.05), frac=0.5, octave=0.0)
     @settings(max_examples=200, deadline=None)
-    def test_accepted_window_covers_one_minus_half_delta(self, ea, er, log_d, frac, later, octave):
+    def test_accepted_window_covers_one_minus_half_delta(self, ea, er, log_d, frac, octave):
         # Band passes, at a bound of at most delta - REJECT_MARGIN, have kernel
-        # coverage above 1 - delta, certified rejections fail at the kernel, and
-        # past n*w >= 1 the upper floor does not increase.
+        # coverage above 1 - delta, and certified rejections fail at the kernel.
         budget = ErrorBudget(ea, er, 10.0**log_d)
         n = max(1, int(frac * formula_sample_size(budget).n))
         lam = budget.rel_boundary * 2.0**octave
@@ -556,11 +570,28 @@ class TestChernoffScreen:
             assert coverage > 1.0 - budget.delta
         if _miss_floor(n, lam, budget) > budget.delta + plan.REJECT_MARGIN:
             assert coverage < 1.0 - budget.delta
-        w = max(ea, er * lam)
-        if n * w >= 1.0:
-            m = int(n * later)
-            upper = plan._tail_floor(n * lam, n * w + 1.0)
-            assert plan._tail_floor(m * lam, m * w + 1.0) <= upper * (1.0 + 1e-12)
+
+    @given(
+        a=st.floats(min_value=1e-3, max_value=1.0),
+        log_lam=st.floats(min_value=-4.0, max_value=3.0),
+        log_n=st.floats(min_value=0.0, max_value=20.0),
+        log_gaps=st.tuples(st.floats(min_value=0.0, max_value=20.0),
+                           st.floats(min_value=0.0, max_value=20.0)),
+    )
+    @example(a=0.1, log_lam=-1.0, log_n=0.0, log_gaps=(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_upper_floor_is_unimodal_in_n(self, a, log_lam, log_n, log_gaps):
+        # Certificate 2: U(n) = _tail_floor(n*lam, n*w + 1) rises, then falls,
+        # at every n >= 1 (n*w < 1 included), so for n < m < m' the middle
+        # count's U is at least the smaller end's: a run whose ends exceed
+        # the threshold exceeds it throughout.
+        lam = 10.0**log_lam
+        w = a * lam
+        n = int(2.0**log_n)
+        m = n + int(2.0**log_gaps[0])
+        m2 = m + int(2.0**log_gaps[1])
+        floors = [plan._tail_floor(k * lam, k * w + 1.0) for k in (n, m, m2)]
+        assert floors[1] >= min(floors[0], floors[2]) * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("lam", [0.011, 0.1, 0.3, 5.0])
     def test_accepted_windows_against_mpmath(self, lam):
@@ -756,6 +787,36 @@ class TestChernoffScreen:
         with pytest.raises(ResourceLimitError, match="SEARCH_CAP = 50000"):
             min_sample_size_exact(ErrorBudget(3e-4, 0.1, 0.05))
 
+    def test_skip_fires_where_n_times_w_is_below_one(self, monkeypatch):
+        # The canonical search's front mean is the boundary lam = 1.0, w = 0.1.
+        # Its upper floor exceeds delta + REJECT_MARGIN at the first n tried,
+        # 5, where n*w = 0.5: U is unimodal at every n, so one bisection skips
+        # to 260, and the answer is unchanged.  Every skip, on the pinned
+        # panel too, starts at an n its own key rejects: a run certified by
+        # U alone, not by the full floor M(n).
+        skips, bisect = [], plan.bisect_left
+
+        def recorded(a, x, lo=0, hi=None, *, key=None):
+            if len(a) == plan.SEARCH_CAP + 1:
+                skips.append((lo - 1, key(lo - 1)))
+            return bisect(a, x, lo, len(a) if hi is None else hi, key=key)
+
+        monkeypatch.setattr(plan, "bisect_left", recorded)
+        budget = ErrorBudget(0.1, 0.1, 0.05)
+        assert min_sample_size_exact(budget).n == EXACT_MIN_N_CANONICAL
+        assert skips[0] == (5, False)
+        assert plan._tail_floor(5 * 1.0, 5 * 0.1 + 1.0) > budget.delta + plan.REJECT_MARGIN
+        for eps, n in EXACT_MIN_N_PANEL:
+            assert min_sample_size_exact(ErrorBudget(*eps)).n == n
+        assert len(skips) >= 10 and not any(ended for _, ended in skips)
+
+    def test_skip_stops_at_the_kernel_domain(self):
+        # At lam = 1e15 and w = eps_a = 1e6 the upper floor exceeds delta from
+        # n = 1 to about 2,700, but theta passes 2^53 at n = 10: the skip ends
+        # there, and the kernel names theta = 1e16, as the plain scan would.
+        with pytest.raises(ResourceLimitError, match=r"^theta=1e\+16 is outside"):
+            min_sample_size_exact(ErrorBudget(1e6, 1e-10, 0.05), grid=[1e15])
+
     @pytest.mark.parametrize("delta", [9.9e-15, 1e-17, 1e-100])
     def test_delta_below_the_exact_floor_is_refused(self, delta):
         # Below plan.EXACT_DELTA_MIN the rounding of 1 - delta and the span's
@@ -941,6 +1002,7 @@ class TestNormalQuantile:
 )
 @settings(max_examples=80, deadline=None)
 @example(0.001, 0.001, 0.023137963025333694)
+@example(1e8, 1e-312, 0.1)  # subnormal _phi(eps_r), which the strategy cannot draw
 def test_formula_and_threshold_agree_property(ea, er, d):
     budget = ErrorBudget(ea, er, d)
     res = formula_sample_size(budget)
